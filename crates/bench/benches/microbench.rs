@@ -1,15 +1,16 @@
 //! Criterion microbenchmarks for the hot paths of the simulator stack:
 //! predictor operations, the DRAM timing engine, each cache design's
-//! access path, and trace generation throughput.
+//! access path, trace generation throughput, and the dispatch loop.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use unison_core::meta::reference::NaiveStore;
 use unison_core::{
     AlloyCache, AlloyConfig, DramCacheModel, FootprintCache, FootprintConfig, MemPorts, MetaStore,
-    PageMeta, Replacement, Request, UnisonCache, UnisonConfig,
+    NoCache, PageMeta, Replacement, Request, UnisonCache, UnisonConfig,
 };
 use unison_dram::{DramConfig, DramModel, Location, Op, RouteMap, RowCol};
 use unison_predictors::{Footprint, FootprintTable, MissPredictor, WayPredictor};
+use unison_sim::{run_experiment_with_source, Design, SimConfig, System, TraceSource};
 use unison_trace::{workloads, TraceArtifact, WorkloadGen};
 
 fn bench_predictors(c: &mut Criterion) {
@@ -397,9 +398,56 @@ fn bench_tracegen(c: &mut Criterion) {
     g.finish();
 }
 
+/// One NoCache experiment (warmup, then measurement) over one frozen
+/// artifact, fed two ways: the dispatch loop reading the artifact's
+/// per-core columns in place (the runner's replay path) against the same
+/// loop de-interleaving `artifact.replay()` through `Buffered` rings (the
+/// `System::run(&mut iter)` path). Both simulate the same records in the
+/// same order; the difference is the cost of buffering.
+fn bench_dispatch(c: &mut Criterion) {
+    let cfg = SimConfig {
+        accesses: 200_000,
+        ..SimConfig::quick_test()
+    };
+    let spec = workloads::tpch();
+    let plan = cfg.trace_plan(&spec, 0);
+    let artifact = TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
+    let warmup = (plan.total as f64 * cfg.warmup_fraction) as u64;
+    let mut g = c.benchmark_group("dispatch");
+    g.throughput(Throughput::Elements(plan.total));
+    g.bench_function("nocache_columns", |b| {
+        b.iter(|| {
+            black_box(run_experiment_with_source(
+                Design::NoCache,
+                0,
+                &spec,
+                &cfg,
+                TraceSource::Replay(&artifact),
+            ))
+        });
+    });
+    g.bench_function("nocache_buffered_iterator", |b| {
+        b.iter(|| {
+            let cores = cfg.system.resolved_cores(&spec) as usize;
+            let mut sys = System::new(
+                cores,
+                NoCache::new(),
+                cfg.system.mem_ports(),
+                cfg.system.core,
+            );
+            let mut trace = artifact.replay();
+            sys.run(&mut trace, warmup);
+            sys.reset_measurement();
+            sys.run(&mut trace, plan.total - warmup);
+            black_box(sys.progress())
+        });
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_meta, bench_meta_simd, bench_predictors, bench_dram, bench_dram_access, bench_caches, bench_tracegen
+    targets = bench_meta, bench_meta_simd, bench_predictors, bench_dram, bench_dram_access, bench_caches, bench_tracegen, bench_dispatch
 }
 criterion_main!(benches);

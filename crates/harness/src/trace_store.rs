@@ -14,7 +14,7 @@
 //!   bigger request arrives, so campaigns should prefill with their
 //!   maximum length first (the [`crate::Campaign`] does).
 //! * **Optional disk cache**: with a directory configured, artifacts are
-//!   persisted as `trace-<key>.bin` (the codec encoding, verbatim) and
+//!   persisted as `trace-<key>.bin` (the codec's column encoding) and
 //!   reloaded by later invocations — repeated campaigns skip generation
 //!   entirely. Corrupted, truncated, or version-mismatched files are
 //!   treated as misses and regenerated in place; the content key hashes
@@ -205,7 +205,10 @@ impl TraceStore {
         let write = || -> std::io::Result<()> {
             std::fs::create_dir_all(dir)?;
             let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-            std::fs::write(&tmp, artifact.bytes().as_ref())?;
+            let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            artifact.write_to(&mut file)?;
+            std::io::Write::flush(&mut file)?;
+            drop(file);
             std::fs::rename(&tmp, &path)
         };
         if let Err(e) = write() {
@@ -318,14 +321,14 @@ mod tests {
             {
                 // Valid header, stale codec version.
                 let good = TraceArtifact::freeze(&spec, 42, 10);
-                let mut v = good.bytes().to_vec();
+                let mut v = good.columns().to_vec();
                 v[8] = codec::VERSION as u8 + 1;
                 v
             },
             {
                 // Truncated mid-record.
                 let good = TraceArtifact::freeze(&spec, 42, 10);
-                let v = good.bytes().to_vec();
+                let v = good.columns().to_vec();
                 v[..v.len() - 7].to_vec()
             },
         ] {
@@ -356,7 +359,7 @@ mod tests {
         let key = artifact_key(&spec, 42);
         std::fs::write(
             dir.join(format!("trace-{key:016x}.bin")),
-            wrong.bytes().as_ref(),
+            wrong.columns().to_vec(),
         )
         .unwrap();
 

@@ -1,167 +1,81 @@
 //! Local stand-in for the subset of the `bytes` crate this workspace
-//! uses: `Bytes` / `BytesMut` buffers and the little-endian `Buf` /
-//! `BufMut` accessors the trace codec reads and writes with.
+//! uses: the shared, sliceable `Bytes` buffer trace artifacts live in.
 
 #![forbid(unsafe_code)]
 
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-/// An immutable, reference-counted byte buffer. Like the real crate,
-/// `clone` is O(1) and shares the underlying storage — trace artifacts
-/// held by many campaign cells never copy their payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bytes(Arc<[u8]>);
+/// An immutable, reference-counted view of a byte buffer. Like the real
+/// crate, `clone` and [`Bytes::slice`] are O(1) and share the underlying
+/// storage, and `Bytes::from(Vec<u8>)` takes the vector over without
+/// copying it — trace artifacts held by many campaign cells never copy
+/// their payload, not even when they are frozen.
+#[derive(Debug, Clone, Default)]
+pub struct Bytes {
+    data: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
 
 impl Bytes {
-    /// Copies the buffer into a `Vec<u8>`.
+    /// Copies the viewed bytes into a `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.0.to_vec()
+        self.as_ref().to_vec()
     }
 
     /// True when two handles share the same underlying storage (a
-    /// zero-copy clone rather than an equal-content copy).
+    /// zero-copy clone or slice rather than an equal-content copy).
     pub fn shares_storage_with(&self, other: &Bytes) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        Arc::ptr_eq(&self.data, &other.data)
+    }
+
+    /// A view of `range` (relative to this view) sharing this buffer's
+    /// storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is decreasing or runs past the end of the view,
+    /// as slicing a `[u8]` would.
+    pub fn slice(&self, range: Range<usize>) -> Bytes {
+        let _ = &self[range.clone()]; // bounds check with slice semantics
+        Bytes {
+            data: Arc::clone(&self.data),
+            range: self.range.start + range.start..self.range.start + range.end,
+        }
     }
 }
 
-impl Default for Bytes {
-    fn default() -> Self {
-        Bytes(Arc::from(Vec::new()))
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        self.as_ref() == other.as_ref()
     }
 }
+
+impl Eq for Bytes {}
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes(Arc::from(v))
+        let range = 0..v.len();
+        Bytes {
+            data: Arc::new(v),
+            range,
+        }
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
-        &self.0
+        &self.data[self.range.clone()]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-/// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Debug, Clone, Default)]
-pub struct BytesMut(Vec<u8>);
-
-impl BytesMut {
-    /// Creates an empty buffer with `cap` bytes of capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut(Vec::with_capacity(cap))
-    }
-
-    /// Converts into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.0)
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when no bytes have been written.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-/// Sequential little-endian reads from a byte source.
-///
-/// # Panics
-///
-/// Like the real crate, the `get_*`/`advance` methods panic when the
-/// buffer has insufficient remaining bytes; callers bounds-check first.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-    /// Skips `n` bytes.
-    fn advance(&mut self, n: usize);
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8;
-
-    /// True while bytes remain.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        for slot in &mut b {
-            *slot = self.get_u8();
-        }
-        u32::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        for slot in &mut b {
-            *slot = self.get_u8();
-        }
-        u64::from_le_bytes(b)
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn advance(&mut self, n: usize) {
-        *self = &self[n..];
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        let b = self[0];
-        *self = &self[1..];
-        b
-    }
-}
-
-/// Sequential little-endian writes to a byte sink.
-pub trait BufMut {
-    /// Appends raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.0.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
+        self
     }
 }
 
@@ -170,35 +84,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn write_then_read_round_trips() {
-        let mut b = BytesMut::with_capacity(32);
-        b.put_slice(b"HDR");
-        b.put_u8(7);
-        b.put_u32_le(0xdead_beef);
-        b.put_u64_le(0x0123_4567_89ab_cdef);
-        let frozen = b.freeze();
-        let mut r: &[u8] = &frozen;
-        assert_eq!(r.remaining(), 3 + 1 + 4 + 8);
-        r.advance(3);
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_u32_le(), 0xdead_beef);
-        assert_eq!(r.get_u64_le(), 0x0123_4567_89ab_cdef);
-        assert!(!r.has_remaining());
-    }
-
-    #[test]
-    fn to_vec_matches_contents() {
-        let mut b = BytesMut::default();
-        b.put_u8(1);
-        b.put_u8(2);
-        assert_eq!(b.freeze().to_vec(), vec![1, 2]);
-    }
-
-    #[test]
     fn clone_is_zero_copy() {
-        let mut b = BytesMut::default();
-        b.put_slice(&[1, 2, 3]);
-        let a = b.freeze();
+        let a = Bytes::from(vec![1, 2, 3]);
         let c = a.clone();
         assert!(a.shares_storage_with(&c), "clone must share storage");
         let d = Bytes::from(vec![1, 2, 3]);
@@ -207,5 +94,34 @@ mod tests {
             !a.shares_storage_with(&d),
             "equal content, distinct storage"
         );
+        assert_eq!(a.to_vec(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn from_vec_takes_the_buffer_over_without_copying() {
+        let v = vec![7u8; 1 << 16];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "freezing must not copy the buffer");
+        assert_eq!(b.len(), 1 << 16);
+    }
+
+    #[test]
+    fn slices_share_storage_and_compare_by_content() {
+        let b = Bytes::from((0u8..10).collect::<Vec<_>>());
+        let s = b.slice(2..6);
+        assert_eq!(&s[..], &[2, 3, 4, 5]);
+        assert!(s.shares_storage_with(&b));
+        let inner = s.slice(1..3);
+        assert_eq!(&inner[..], &[3, 4]);
+        assert_eq!(inner, Bytes::from(vec![3, 4]));
+        assert_eq!(s.slice(4..4).len(), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn slice_past_the_end_panics() {
+        let b = Bytes::from(vec![1, 2, 3]);
+        let _ = b.slice(1..4);
     }
 }

@@ -9,14 +9,14 @@
 //! already hot in cache. Results are **bit-identical** to the one-shot
 //! runner (pinned by `stepped_cell_sim_matches_one_shot_runner` and the
 //! harness-level batching identity tests): the phase boundaries, the
-//! fresh-session buffered-record drop, and the result arithmetic all
-//! replicate `drive_cache` exactly.
+//! stream-position record drop, and the result arithmetic all replicate
+//! `drive_cache` exactly.
 
 use unison_core::DramCacheModel;
 use unison_trace::{TraceArtifact, WorkloadSpec};
 
 use crate::metrics::RunResult;
-use crate::runner::{replay_with_tail, Design, ReplayWithTail, SimConfig};
+use crate::runner::{artifact_columns, ArtifactColumns, Design, SimConfig};
 use crate::system::{DispatchSession, Progress, System};
 
 /// Where a [`CellSim`] is in the warmup → measurement → done lifecycle.
@@ -31,7 +31,7 @@ enum Phase {
 /// trace artifact.
 ///
 /// Borrows **only** the artifact (the trace plan's scaled spec is cloned
-/// into the replay cursor), so a batch driver can hold many `CellSim`s
+/// into the column source), so a batch driver can hold many `CellSim`s
 /// against `Arc`-shared artifacts without self-referential lifetimes.
 ///
 /// # Construction panics
@@ -45,8 +45,7 @@ pub struct CellSim<'a> {
     cache_bytes: u64,
     workload: String,
     sys: System<Box<dyn DramCacheModel>>,
-    trace: ReplayWithTail<'a>,
-    session: DispatchSession,
+    session: DispatchSession<ArtifactColumns<'a>>,
     phase: Phase,
     /// Records consumed so far within the current phase.
     done_in_phase: u64,
@@ -58,8 +57,8 @@ pub struct CellSim<'a> {
 
 impl<'a> CellSim<'a> {
     /// Sets up the cell: builds the scaled cache and system, validates
-    /// `artifact` against the run's trace plan, and positions the replay
-    /// cursor at record zero. No records are consumed yet.
+    /// `artifact` against the run's trace plan, and positions every
+    /// core at its first record. No records are consumed yet.
     pub fn new(
         design: Design,
         cache_bytes: u64,
@@ -68,7 +67,7 @@ impl<'a> CellSim<'a> {
         artifact: &'a TraceArtifact,
     ) -> Self {
         let plan = cfg.trace_plan(spec, cache_bytes);
-        let trace = replay_with_tail(artifact, &plan, spec, cfg);
+        let columns = artifact_columns(artifact, &plan, spec, cfg);
         let scaled_cache = cfg.scaled_cache_bytes(cache_bytes);
         // `build_scaled` constructs the identical cache the one-shot
         // runner's `drive` would for every design: its Ideal/NoCache
@@ -87,8 +86,7 @@ impl<'a> CellSim<'a> {
             cache_bytes,
             workload: spec.name.to_string(),
             sys,
-            trace,
-            session: DispatchSession::new(),
+            session: DispatchSession::new(columns),
             phase: Phase::Warmup,
             done_in_phase: 0,
             warmup: (total as f64 * cfg.warmup_fraction) as u64,
@@ -114,17 +112,17 @@ impl<'a> CellSim<'a> {
 
     /// Advances the simulation by up to `budget` records, crossing the
     /// warmup/measurement boundary mid-step if the budget spans it
-    /// (snapshotting progress, resetting statistics, and starting a
-    /// fresh dispatch session exactly as the one-shot runner's phase
-    /// split does). Returns the records actually consumed — less than
+    /// (snapshotting progress, resetting statistics, and applying the
+    /// stream-position rule exactly as the one-shot runner's phase split
+    /// does). Returns the records actually consumed — less than
     /// `budget` only once the cell finishes.
     ///
     /// # Panics
     ///
     /// Panics if the trace runs dry before a phase completes, with the
-    /// same diagnostics as the one-shot runner. (A replayed artifact
-    /// chains into live tail generation, so this indicates a genuinely
-    /// broken source, not an undersized artifact.)
+    /// same diagnostics as the one-shot runner. (A column that runs dry
+    /// re-freezes a longer artifact, so this indicates a genuinely broken
+    /// source, not an undersized artifact.)
     pub fn step(&mut self, budget: u64) -> u64 {
         let mut consumed = 0u64;
         while consumed < budget && self.phase != Phase::Done {
@@ -135,9 +133,7 @@ impl<'a> CellSim<'a> {
             };
             let want = (budget - consumed).min(phase_total - self.done_in_phase);
             if want > 0 {
-                let got = self
-                    .sys
-                    .run_session(&mut self.session, &mut self.trace, want);
+                let got = self.sys.run_session(&mut self.session, want);
                 self.done_in_phase += got;
                 consumed += got;
                 if got < want {
@@ -155,11 +151,7 @@ impl<'a> CellSim<'a> {
                     Phase::Warmup => {
                         self.before = self.sys.progress();
                         self.sys.reset_measurement();
-                        // Fresh session: the one-shot runner's second
-                        // `run` call drops whatever records the warmup
-                        // call had buffered (advancing the stream
-                        // position past them), and so must we.
-                        self.session = DispatchSession::new();
+                        self.session.next_phase();
                         self.phase = Phase::Measurement;
                     }
                     Phase::Measurement => {

@@ -71,6 +71,47 @@ impl CoreParams {
     }
 }
 
+/// [`CoreParams::compute_ps`] for the dispatch loop, with the float
+/// division taken off the per-record path where it is exact to do so.
+///
+/// When `ipc_base` is a power of two of at least 1 (the paper's 2.0),
+/// `ceil(gap / ipc_base)` over the `u32` instruction gap of a trace
+/// record is an exact shift: the gap converts to `f64` exactly and
+/// dividing by a power of two only moves the exponent. Other IPCs keep
+/// the division. Results equal `compute_ps` bit for bit (property-tested
+/// below).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GapTiming {
+    /// `log2(ipc_base)` when the shift form applies.
+    shift: Option<u32>,
+    ipc_base: f64,
+}
+
+impl GapTiming {
+    pub(crate) fn new(params: &CoreParams) -> Self {
+        let ipc = params.ipc_base;
+        let shift = (ipc >= 1.0 && ipc <= f64::from(1u32 << 31) && ipc.fract() == 0.0)
+            .then_some(ipc as u64)
+            .filter(|n| n.is_power_of_two())
+            .map(u64::trailing_zeros);
+        GapTiming {
+            shift,
+            ipc_base: ipc,
+        }
+    }
+
+    /// Picoseconds needed to execute a record's `igap` instructions.
+    #[inline]
+    pub(crate) fn compute_ps(self, igap: u32) -> Ps {
+        let n = u64::from(igap);
+        let cycles = match self.shift {
+            Some(k) => (n >> k) + u64::from(n & ((1 << k) - 1) != 0),
+            None => (n as f64 / self.ipc_base).ceil() as u64,
+        };
+        cpu_cycles_to_ps(cycles)
+    }
+}
+
 /// Per-core progress state.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoreClock {
@@ -87,7 +128,7 @@ impl CoreClock {
     /// time of the access that follows.
     ///
     /// The dispatch loop's hot path uses [`Self::advance_compute_to`]
-    /// with the value it already computed for its heap key; this method
+    /// with the value it already computed for its selection key; this method
     /// remains the semantic definition (and the reference loop in
     /// `system.rs`'s tests drives it directly).
     #[cfg_attr(not(test), allow(dead_code))]
@@ -100,8 +141,8 @@ impl CoreClock {
     /// [`Self::advance_compute`] when the issue time has already been
     /// computed (`issue_ps` must equal
     /// `self.time_ps + params.compute_ps(igap)`): the dispatch loop keys
-    /// its heap on exactly that value, so consuming the record can reuse
-    /// it instead of paying the float division again.
+    /// its core selection on exactly that value, so consuming the record
+    /// reuses it instead of recomputing it.
     pub fn advance_compute_to(&mut self, issue_ps: Ps, igap: u64) -> Ps {
         debug_assert!(issue_ps >= self.time_ps);
         self.time_ps = issue_ps;
@@ -157,6 +198,47 @@ mod tests {
         c.apply_load(&p, issue, ready);
         assert_eq!(c.stall_ps, 10_000);
         assert_eq!(c.time_ps, issue + 10_000);
+    }
+
+    proptest::proptest! {
+        /// The dispatch loop's gap timing equals `compute_ps` for every
+        /// gap, on power-of-two IPCs (shift form) and others (division).
+        #[test]
+        fn gap_timing_matches_compute_ps(
+            igap in proptest::strategy::any::<u32>(),
+            small in 0u32..5_000,
+            ipc in proptest::prop_oneof![
+                proptest::strategy::Just(1.0f64),
+                proptest::strategy::Just(2.0),
+                proptest::strategy::Just(4.0),
+                proptest::strategy::Just(64.0),
+                proptest::strategy::Just(0.5),
+                proptest::strategy::Just(3.0),
+                0.25f64..9.0,
+            ],
+        ) {
+            let params = CoreParams { ipc_base: ipc, ..CoreParams::default() };
+            let fast = GapTiming::new(&params);
+            for gap in [igap, small] {
+                proptest::prop_assert_eq!(fast.compute_ps(gap), params.compute_ps(u64::from(gap)));
+            }
+        }
+    }
+
+    #[test]
+    fn gap_timing_takes_the_shift_form_only_for_powers_of_two() {
+        let shift = |ipc| {
+            GapTiming::new(&CoreParams {
+                ipc_base: ipc,
+                ..CoreParams::default()
+            })
+            .shift
+        };
+        assert_eq!(shift(2.0), Some(1));
+        assert_eq!(shift(1.0), Some(0));
+        assert_eq!(shift(3.0), None);
+        assert_eq!(shift(0.5), None);
+        assert_eq!(shift(2.5), None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Trace-driven multicore system simulator and experiment runner.
 //!
 //! This crate stands in for the paper's Flexus + SimFlex full-system
-//! methodology (§IV-A). The substitution, documented in DESIGN.md:
+//! methodology (§IV-A). The substitution, documented under "Methodology
+//! notes" in the repository README:
 //!
 //! * **Cores** use an interval model ([`CoreParams`]): instruction gaps
 //!   execute at a base IPC; loads stall the core for whatever part of the
@@ -50,4 +51,4 @@ pub use runner::{
     Timed, TracePlan, TraceSource,
 };
 pub use scenario::{scenarios_from_json, Scenario, SystemSpec};
-pub use system::{DispatchSession, System};
+pub use system::{Buffered, DispatchSession, RecordSource, System};

@@ -9,7 +9,7 @@ use unison_trace::{artifact_key, TraceArtifact, TraceRecord, WorkloadGen, Worklo
 
 use crate::metrics::RunResult;
 use crate::scenario::SystemSpec;
-use crate::system::System;
+use crate::system::{Buffered, DispatchSession, RecordSource, System};
 
 /// The cache designs the experiments compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -184,7 +184,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Divide workload footprints *and* cache sizes by this factor to
     /// trade fidelity for runtime; shapes are preserved because cache
-    /// and working set shrink together (see DESIGN.md §4).
+    /// and working set shrink together (see "Scale substitution and
+    /// workload calibration" in the repository README).
     pub scale: u64,
 }
 
@@ -257,22 +258,21 @@ impl SimConfig {
 
 /// Read-ahead margin frozen into artifacts beyond the consumed total.
 ///
-/// The dispatch loop pulls records past the ones it consumes: refilling
-/// one core's buffer stashes records for other cores, and whatever is
-/// buffered when the warmup call returns is dropped at the measurement
-/// boundary — while still advancing the stream position. Live generation
-/// is infinite so this is invisible; a frozen artifact must cover the
-/// overshoot or replay runs dry near the end.
+/// The dispatch loop reads records past the ones it consumes: each core
+/// holds a head-of-line record, and at the warmup/measurement boundary
+/// the stream-position rule drops everything up to the latest of them
+/// (see [`crate::DispatchSession`]). Live generation is infinite so this
+/// is invisible; a frozen artifact must cover the overshoot or a column
+/// runs dry near the end.
 ///
 /// The overshoot is how far the per-core *stream* positions skew, which
 /// tracks how far the core *clocks* skew: a core stuck in a stall-heavy
-/// phase consumes slowly in issue-time order while round-robin refills
-/// keep buffering the fast cores — observed at ~0.2% of a 9 M-record
-/// TPC-H run. The margin is a 16 Ki floor plus 1/32nd of the consumed
-/// total (~15× the observed skew). It is a *provisioning* knob, not a
-/// correctness bound: replay falls back to generating the tail live if
-/// the margin is ever exceeded (bit-identical either way; see
-/// [`TraceSource::Replay`]).
+/// phase consumes slowly in issue-time order while the fast cores read
+/// on — observed at ~0.2% of a 9 M-record TPC-H run. The margin is a
+/// 16 Ki floor plus 1/32nd of the consumed total (~15× the observed
+/// skew). It is a *provisioning* knob, not a correctness bound: replay
+/// re-freezes a longer artifact if the margin is ever exceeded
+/// (bit-identical either way; see [`TraceSource::Replay`]).
 pub fn replay_lookahead(total: u64) -> u64 {
     16_384 + total / 32
 }
@@ -309,58 +309,105 @@ pub enum TraceSource<'a> {
     /// run's scaled spec and seed (asserted — a mismatched artifact
     /// would silently simulate the wrong workload) and at least cover
     /// the planned `frozen_len` (asserted — stores must provision the
-    /// read-ahead margin). Should the dispatch loop's read-ahead ever
-    /// exceed even that margin, the stream continues with lazily
-    /// generated live records from the same position, so results stay
-    /// bit-identical in all cases.
+    /// read-ahead margin). The dispatch loop reads each core's records
+    /// straight off the artifact's per-core columns. Should its
+    /// read-ahead ever exceed even that margin, a longer prefix
+    /// extension of the same stream is frozen on the spot, so results
+    /// stay bit-identical in all cases.
     Replay(&'a TraceArtifact),
 }
 
-/// Replay cursor with a lazy live-generation safety net.
+/// A frozen artifact's per-core columns as a [`RecordSource`], with a
+/// growth safety net.
 ///
-/// The hot path is one inlined [`unison_trace::TraceReplay`] read plus a
-/// predictable branch. Only if the dispatch loop reads past the frozen
-/// records (its warmup-boundary overshoot exceeded the artifact's
-/// provisioned margin) does the cold path construct a [`WorkloadGen`]
-/// and advance it to the artifact's end position — paying the full
-/// prefix generation cost once, in exchange for results that stay
-/// bit-identical to live generation no matter how large the overshoot.
-pub(crate) struct ReplayWithTail<'a> {
-    pub(crate) replay: unison_trace::TraceReplay<'a>,
+/// The hot path reads core `c`'s next record straight off its column.
+/// Only if a column runs dry (the warmup-boundary drop ate past the
+/// artifact's provisioned margin) does the cold path re-freeze a longer
+/// prefix extension of the same `(spec, seed)`; every column of the
+/// longer artifact extends the shorter one's, so each core's cursor
+/// stays valid and results stay bit-identical to live generation no
+/// matter how far the run reads.
+pub(crate) struct ArtifactColumns<'a> {
+    base: &'a TraceArtifact,
+    grown: Option<TraceArtifact>,
     /// Owned so long-lived consumers (the batched [`crate::CellSim`])
     /// only borrow the artifact, not a stack-local trace plan.
-    pub(crate) scaled_spec: WorkloadSpec,
-    pub(crate) seed: u64,
-    /// Records the artifact holds — the stream position the tail
-    /// generator must resume from.
-    pub(crate) frozen: usize,
-    pub(crate) tail: Option<WorkloadGen>,
+    scaled_spec: WorkloadSpec,
+    seed: u64,
+    /// Records taken from each core's column so far.
+    next: Vec<usize>,
+    /// Whether some column ran dry with no extension to fill it.
+    dry: bool,
 }
 
-impl ReplayWithTail<'_> {
+impl<'a> ArtifactColumns<'a> {
+    /// Columns of `artifact`, frozen from `(scaled_spec, seed)`, for a
+    /// system of `cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the artifact has more columns than the system has
+    /// cores: its extra cores' records would have no core to run on.
+    pub(crate) fn new(
+        artifact: &'a TraceArtifact,
+        scaled_spec: WorkloadSpec,
+        seed: u64,
+        cores: usize,
+    ) -> Self {
+        assert!(
+            artifact.columns().cores() <= cores,
+            "trace has {} core columns but the system only {cores} cores",
+            artifact.columns().cores(),
+        );
+        ArtifactColumns {
+            base: artifact,
+            grown: None,
+            scaled_spec,
+            seed,
+            next: vec![0; cores],
+            dry: false,
+        }
+    }
+
+    #[inline]
+    fn artifact(&self) -> &TraceArtifact {
+        self.grown.as_ref().unwrap_or(self.base)
+    }
+
     #[cold]
     #[inline(never)]
-    fn tail_next(&mut self) -> Option<TraceRecord> {
-        let tail = self.tail.get_or_insert_with(|| {
-            let mut gen = WorkloadGen::new(self.scaled_spec.clone(), self.seed);
-            for _ in 0..self.frozen {
-                gen.next();
-            }
-            gen
-        });
-        tail.next()
+    fn grow_and_take(&mut self, core: usize) -> Option<TraceRecord> {
+        let len = self.artifact().len() as u64;
+        let longer = TraceArtifact::freeze(&self.scaled_spec, self.seed, 2 * len + 1024);
+        let rec = longer.columns().column(core).get(self.next[core]);
+        self.grown = Some(longer);
+        match rec {
+            Some(_) => self.next[core] += 1,
+            // The core issues nothing even in a doubled trace; treat the
+            // stream as ended for it.
+            None => self.dry = true,
+        }
+        rec
     }
 }
 
-impl Iterator for ReplayWithTail<'_> {
-    type Item = TraceRecord;
-
+impl RecordSource for ArtifactColumns<'_> {
     #[inline]
-    fn next(&mut self) -> Option<TraceRecord> {
-        match self.replay.next() {
-            Some(r) => Some(r),
-            None => self.tail_next(),
+    fn next_record(&mut self, core: usize) -> Option<TraceRecord> {
+        let i = self.next[core];
+        match self.artifact().columns().column(core).get(i) {
+            Some(r) => {
+                self.next[core] = i + 1;
+                Some(r)
+            }
+            None => self.grow_and_take(core),
         }
+    }
+
+    fn skip_to_stream_position(&mut self) {
+        let columns = self.grown.as_ref().unwrap_or(self.base).columns();
+        columns.skip_to_stream_position(&mut self.next, self.dry);
+        self.dry = false;
     }
 }
 
@@ -393,20 +440,21 @@ pub fn run_experiment_with_source(
     source: TraceSource<'_>,
 ) -> RunResult {
     let plan = cfg.trace_plan(spec, cache_bytes);
+    let cores = cfg.system.resolved_cores(spec) as usize;
     match source {
         TraceSource::Live => {
-            let trace = WorkloadGen::new(plan.scaled_spec, cfg.seed);
+            let trace = Buffered::new(WorkloadGen::new(plan.scaled_spec, cfg.seed), cores);
             drive(design, cache_bytes, spec, cfg, trace, plan.total)
         }
         TraceSource::Replay(artifact) => {
-            let trace = replay_with_tail(artifact, &plan, spec, cfg);
-            drive(design, cache_bytes, spec, cfg, trace, plan.total)
+            let columns = artifact_columns(artifact, &plan, spec, cfg);
+            drive(design, cache_bytes, spec, cfg, columns, plan.total)
         }
     }
 }
 
-/// Builds the replay-with-tail cursor for `artifact` after validating it
-/// against the run's trace `plan` — the shared entry point of
+/// Builds the column source for `artifact` after validating it against
+/// the run's trace `plan` — the shared entry point of
 /// [`run_experiment_with_source`] and the batched [`crate::CellSim`].
 ///
 /// # Panics
@@ -414,12 +462,12 @@ pub fn run_experiment_with_source(
 /// Panics if the artifact was frozen from a different
 /// `(scaled spec, seed)` or is shorter than `plan.frozen_len` — either
 /// would silently change results.
-pub(crate) fn replay_with_tail<'a>(
+pub(crate) fn artifact_columns<'a>(
     artifact: &'a TraceArtifact,
     plan: &TracePlan,
     spec: &WorkloadSpec,
     cfg: &SimConfig,
-) -> ReplayWithTail<'a> {
+) -> ArtifactColumns<'a> {
     assert_eq!(
         artifact.key(),
         artifact_key(&plan.scaled_spec, cfg.seed),
@@ -439,13 +487,12 @@ pub(crate) fn replay_with_tail<'a>(
         plan.frozen_len,
         plan.total,
     );
-    ReplayWithTail {
-        replay: artifact.replay(),
-        scaled_spec: plan.scaled_spec.clone(),
-        seed: cfg.seed,
-        frozen: artifact.len(),
-        tail: None,
-    }
+    ArtifactColumns::new(
+        artifact,
+        plan.scaled_spec.clone(),
+        cfg.seed,
+        cfg.system.resolved_cores(spec) as usize,
+    )
 }
 
 /// The shared experiment body: both arms of [`run_experiment_with_source`]
@@ -458,12 +505,12 @@ pub(crate) fn replay_with_tail<'a>(
 /// into the dispatch loop) is a measurable win — and it is exactly these
 /// cheap designs whose campaigns are trace-generation-bound. The heavy
 /// designs keep the boxed path, where one indirect call is noise.
-fn drive<I: Iterator<Item = TraceRecord>>(
+fn drive<S: RecordSource>(
     design: Design,
     cache_bytes: u64,
     spec: &WorkloadSpec,
     cfg: &SimConfig,
-    trace: I,
+    trace: S,
     total: u64,
 ) -> RunResult {
     let scaled_cache = cfg.scaled_cache_bytes(cache_bytes);
@@ -492,13 +539,13 @@ fn drive<I: Iterator<Item = TraceRecord>>(
     }
 }
 
-fn drive_cache<C: DramCacheModel, I: Iterator<Item = TraceRecord>>(
+fn drive_cache<C: DramCacheModel, S: RecordSource>(
     cache: C,
     design: Design,
     cache_bytes: u64,
     spec: &WorkloadSpec,
     cfg: &SimConfig,
-    mut trace: I,
+    trace: S,
     total: u64,
 ) -> RunResult {
     let mut sys = System::new(
@@ -509,9 +556,10 @@ fn drive_cache<C: DramCacheModel, I: Iterator<Item = TraceRecord>>(
     );
 
     let warmup = (total as f64 * cfg.warmup_fraction) as u64;
-    let warmed = sys.run(&mut trace, warmup);
+    let mut session = DispatchSession::new(trace);
+    let warmed = sys.run_session(&mut session, warmup);
     // Both live generation and artifact replay present effectively
-    // infinite streams (replay chains into lazy generation past the
+    // infinite streams (replay re-freezes a longer artifact past the
     // frozen margin), so both phases must always run to their full
     // budget; a shortfall means a genuinely finite source, which would
     // otherwise *silently* skew the measurement.
@@ -522,7 +570,8 @@ fn drive_cache<C: DramCacheModel, I: Iterator<Item = TraceRecord>>(
     );
     let before = sys.progress();
     sys.reset_measurement();
-    let measured = sys.run(&mut trace, total - warmup);
+    session.next_phase();
+    let measured = sys.run_session(&mut session, total - warmup);
     assert_eq!(
         measured,
         total - warmup,
@@ -809,8 +858,8 @@ mod tests {
 
     /// The read-ahead safety net: an artifact covering the planned
     /// margin minimally is still bit-identical even if the dispatch
-    /// loop's warmup-boundary drop eats into it — the stream chains
-    /// into lazy live generation at the exact frozen position.
+    /// loop's warmup-boundary drop eats into it — a column that runs
+    /// dry continues in a re-frozen, longer prefix extension.
     #[test]
     fn replay_tail_fallback_is_bit_identical() {
         let cfg = SimConfig::quick_test();
@@ -818,8 +867,8 @@ mod tests {
         let size = 128 << 20;
         let plan = cfg.trace_plan(&w, size);
         // Freeze the bare minimum the assert allows; the boundary drop
-        // then forces the chained generator tail into play for the last
-        // records of the measurement phase on some designs.
+        // may then run a column dry near the end of the measurement
+        // phase on some designs.
         let minimal =
             unison_trace::TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
         // And a comfortably oversized one that never needs the tail.

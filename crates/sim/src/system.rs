@@ -1,13 +1,10 @@
 //! The multicore system driver.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use unison_core::{DramCacheModel, MemPorts, Request};
 use unison_dram::Ps;
 use unison_trace::{AccessKind, TraceRecord};
 
-use crate::core_model::{CoreClock, CoreParams};
+use crate::core_model::{CoreClock, CoreParams, GapTiming};
 
 /// A 16-core (configurable) pod driving one DRAM cache design over a
 /// trace, presenting requests to the memory system in global
@@ -17,6 +14,7 @@ pub struct System<C> {
     cache: C,
     mem: MemPorts,
     params: CoreParams,
+    gap: GapTiming,
     cores: Vec<CoreClock>,
 }
 
@@ -31,59 +29,200 @@ pub struct Progress {
     pub stall_ps: Ps,
 }
 
-/// Persistent dispatch state for a [`System::run_session`] run that is
-/// consumed in record-budget increments instead of one call.
+/// A supplier of per-core record streams for the dispatch loop.
 ///
-/// [`System::run`] historically kept its per-core record buffers and its
-/// `(issue time, core)` heap as locals, so a run could only be driven in
-/// one call per phase. A `DispatchSession` lifts exactly that state out:
-/// stepping a session through N budget increments is **bit-identical** to
-/// one `run` call with the summed budget, because the dispatch loop
-/// already re-enters selection through the heap at every budget boundary
-/// (it pushes the active core's next `(issue, core)` entry back before
-/// breaking). Pinned by `session_stepping_matches_single_run`.
+/// The loop asks for records core by core, each in that core's program
+/// order, and never looks at the global interleave itself. Two sources
+/// exist: a frozen artifact's per-core columns (the runner's replay path,
+/// which reads them in place) and [`Buffered`], which de-interleaves any
+/// global-order iterator through per-core ring buffers.
+pub trait RecordSource {
+    /// The next record of `core`, or `None` once it has no more.
+    fn next_record(&mut self, core: usize) -> Option<TraceRecord>;
+
+    /// Ends a dispatch phase by the stream-position rule (see
+    /// [`DispatchSession::next_phase`]): every record taken but not yet
+    /// handed to a core's clock is dropped, and each core resumes at its
+    /// first record at or past the stream position.
+    fn skip_to_stream_position(&mut self);
+}
+
+/// Persistent dispatch state for a run consumed in record-budget
+/// increments: the record source plus each core's head-of-line record
+/// and its issue time.
 ///
-/// Sessions are deliberately *not* reusable across phases: the
-/// warmup/measurement boundary of `drive_cache` drops whatever records
-/// are buffered (see [`System::run`] on minimal refill), which a fresh
-/// session reproduces and a carried-over one would not.
-#[derive(Debug, Default)]
-pub struct DispatchSession {
-    bufs: CoreSlab,
-    heap: BinaryHeap<Reverse<(Ps, usize)>>,
-    exhausted: bool,
+/// Stepping a session through N budget increments with
+/// [`System::run_session`] is **bit-identical** to one call with the
+/// summed budget: all selection state lives in the flat per-core arrays,
+/// so a budget boundary is just a place the loop stops and restarts its
+/// minimum scan (pinned by `session_stepping_matches_single_run`).
+///
+/// # The warmup-boundary record drop
+///
+/// Each phase of an experiment (warmup, then measurement) historically
+/// ran on a fresh set of per-core buffers over one global-order stream.
+/// At the end of a phase those buffers held records already pulled off
+/// the stream but never dispatched — each core's head-of-line record,
+/// and behind the slower cores everything read ahead for the faster
+/// ones. The fresh buffers of the next phase dropped them and went on
+/// reading where the stream stood. [`DispatchSession::next_phase`] keeps
+/// that behaviour by a rule instead of by buffering: the stream position
+/// is one past the largest global position among the cores'
+/// head-of-line records (or the end of the stream if some core ran dry),
+/// and the next phase starts each core at its first record at or past
+/// that position. The golden fixtures pin the result.
+#[derive(Debug)]
+pub struct DispatchSession<S> {
+    source: S,
+    /// Each core's head-of-line record (meaningful where `keys` is not
+    /// [`IDLE`]).
+    heads: Vec<TraceRecord>,
+    /// Selection key of each core's head-of-line record (see
+    /// [`DispatchKeys`]); [`IDLE`] for a core with none, and for the core
+    /// being consumed inside the loop.
+    keys: Vec<u64>,
     primed: bool,
 }
 
-impl DispatchSession {
-    /// Creates an empty session; per-core state is sized on first use.
-    pub fn new() -> Self {
-        Self::default()
+/// Selection key of a core with no record to dispatch.
+const IDLE: u64 = u64::MAX;
+
+impl<S: RecordSource> DispatchSession<S> {
+    /// Creates a session over `source`; per-core state is sized on first
+    /// use.
+    pub fn new(source: S) -> Self {
+        DispatchSession {
+            source,
+            heads: Vec::new(),
+            keys: Vec::new(),
+            primed: false,
+        }
+    }
+
+    /// Crosses a phase boundary: drops the head-of-line records and
+    /// everything before the stream position (see the type docs), so the
+    /// next [`System::run_session`] call starts the phase exactly as a
+    /// fresh buffered reader would.
+    pub fn next_phase(&mut self) {
+        self.source.skip_to_stream_position();
+        self.primed = false;
     }
 }
 
-/// Initial per-core ring capacity, log2 (16 records). The refill policy
-/// is *minimal* — it stops as soon as the active core has one record — so
-/// buffered depth per core stays near the core-interleave distance of the
-/// trace and growth is rare.
+/// Packs `(issue time, core)` into one `u64` whose plain ordering is the
+/// dispatch order: lowest issue time first, lowest core on ties. The
+/// core sits in the low `bits` bits, so the argmin over all cores is a
+/// plain `min` reduction that vectorizes.
+#[derive(Debug, Clone, Copy)]
+struct DispatchKeys {
+    bits: u32,
+    /// Largest issue time a key can hold without reaching [`IDLE`]:
+    /// about 20 hours of simulated time even at 256 cores.
+    max_ps: Ps,
+}
+
+impl DispatchKeys {
+    fn new(cores: usize) -> Self {
+        let bits = usize::BITS - (cores - 1).leading_zeros();
+        DispatchKeys {
+            bits,
+            max_ps: (u64::MAX >> bits) - 1,
+        }
+    }
+
+    #[inline]
+    fn pack(self, t: Ps, core: usize) -> u64 {
+        assert!(
+            t <= self.max_ps,
+            "simulated time {t} ps overflows the dispatch key"
+        );
+        (t << self.bits) | core as u64
+    }
+
+    #[inline]
+    fn time(self, key: u64) -> Ps {
+        key >> self.bits
+    }
+
+    #[inline]
+    fn core(self, key: u64) -> usize {
+        (key & ((1 << self.bits) - 1)) as usize
+    }
+}
+
+/// The smallest key.
+#[inline]
+fn min_key(keys: &[u64]) -> u64 {
+    keys.iter().copied().fold(IDLE, u64::min)
+}
+
+/// Initial per-core ring capacity, log2 (16 records). Refill is
+/// *minimal* — it stops as soon as the requesting core has one record —
+/// so buffered depth per core tracks how far the cores' clocks drift
+/// from the trace's interleave order.
 const SLAB_INIT_LOG2: u32 = 4;
+
+/// A [`RecordSource`] over any global-order iterator: records pulled for
+/// one core wait in per-core FIFO rings until their core asks for them.
+///
+/// Refill is *minimal* — pull exactly until the requesting core has a
+/// record — so the stream position at any moment is one past the latest
+/// record handed out, which is what the stream-position rule of
+/// [`DispatchSession`] assumes. Ending a phase clears the rings.
+#[derive(Debug)]
+pub struct Buffered<I> {
+    trace: I,
+    bufs: CoreSlab,
+    exhausted: bool,
+}
+
+impl<I: Iterator<Item = TraceRecord>> Buffered<I> {
+    /// Buffers `trace` for a system of `cores` cores. Records naming a
+    /// core past the last wrap around (`core % cores`).
+    pub fn new(trace: I, cores: usize) -> Self {
+        let mut bufs = CoreSlab::default();
+        bufs.ensure_cores(cores);
+        Buffered {
+            trace,
+            bufs,
+            exhausted: false,
+        }
+    }
+}
+
+impl<I: Iterator<Item = TraceRecord>> RecordSource for Buffered<I> {
+    #[inline]
+    fn next_record(&mut self, core: usize) -> Option<TraceRecord> {
+        // The core id is in range for any spec-conformant trace, so the
+        // wrap is a predicted-not-taken branch, not a hardware division.
+        let n = self.bufs.cores();
+        while self.bufs.is_empty(core) && !self.exhausted {
+            match self.trace.next() {
+                Some(r) => {
+                    let c = usize::from(r.core);
+                    let c = if c < n { c } else { c % n };
+                    self.bufs.push_back(c, r);
+                }
+                None => self.exhausted = true,
+            }
+        }
+        self.bufs.pop_front(core)
+    }
+
+    fn skip_to_stream_position(&mut self) {
+        // The iterator already stands at the stream position: everything
+        // before it was either dispatched or is sitting in the rings.
+        self.bufs.clear();
+        self.exhausted = false;
+    }
+}
 
 /// Per-core FIFO record buffers backed by one flat slab.
 ///
-/// The dispatch loop historically kept a `Vec<VecDeque<TraceRecord>>`:
-/// one heap-allocated deque per core, each with its own head/tail/cap
-/// bookkeeping and grow policy, touched once per trace record. This slab
-/// keeps every core's buffer in a single contiguous allocation — core `c`
-/// owns the power-of-two window `slab[c << cap_log2 .. (c + 1) << cap_log2]`
-/// and rings within it — so a push or pop is one masked index plus a
-/// `u32` head/len update against two small parallel arrays that stay
-/// cache-resident across the whole run.
-///
-/// FIFO order per core is preserved exactly (same `push_back`/`pop_front`
-/// contract as the deques), so dispatch selection order is untouched:
-/// `chunked_dispatch_matches_reference_loop` and
-/// `session_stepping_matches_single_run` race it against the verbatim
-/// `VecDeque` reference loop below.
+/// Core `c` owns the power-of-two window
+/// `slab[c << cap_log2 .. (c + 1) << cap_log2]` and rings within it, so
+/// a push or pop is one masked index plus a `u32` head/len update
+/// against two small parallel arrays.
 #[derive(Debug, Default)]
 struct CoreSlab {
     /// All cores' rings, `cores << cap_log2` slots.
@@ -98,15 +237,6 @@ struct CoreSlab {
 }
 
 impl CoreSlab {
-    /// Slot filler for unoccupied ring capacity; never dispatched.
-    const FILLER: TraceRecord = TraceRecord {
-        core: 0,
-        kind: AccessKind::Read,
-        pc: 0,
-        addr: 0,
-        igap: 0,
-    };
-
     /// Sizes the slab for `n` cores (no-op once sized).
     fn ensure_cores(&mut self, n: usize) {
         if self.head.len() < n {
@@ -115,7 +245,7 @@ impl CoreSlab {
             if self.cap_log2 == 0 {
                 self.cap_log2 = SLAB_INIT_LOG2;
             }
-            self.slab.resize(n << self.cap_log2, Self::FILLER);
+            self.slab.resize(n << self.cap_log2, FILLER);
         }
     }
 
@@ -130,12 +260,9 @@ impl CoreSlab {
         self.len[core] == 0
     }
 
-    #[inline]
-    fn front(&self, core: usize) -> Option<&TraceRecord> {
-        if self.len[core] == 0 {
-            return None;
-        }
-        Some(&self.slab[(core << self.cap_log2) | self.head[core] as usize])
+    /// Empties every ring, keeping the capacity.
+    fn clear(&mut self) {
+        self.len.fill(0);
     }
 
     #[inline]
@@ -172,7 +299,7 @@ impl CoreSlab {
         let new_log2 = old_log2 + 1;
         let mask = (1u32 << old_log2) - 1;
         let n = self.cores();
-        let mut slab = vec![Self::FILLER; n << new_log2];
+        let mut slab = vec![FILLER; n << new_log2];
         for core in 0..n {
             let old_base = core << old_log2;
             let new_base = core << new_log2;
@@ -187,6 +314,15 @@ impl CoreSlab {
     }
 }
 
+/// Slot filler for unoccupied record slots; never dispatched.
+const FILLER: TraceRecord = TraceRecord {
+    core: 0,
+    kind: AccessKind::Read,
+    pc: 0,
+    addr: 0,
+    igap: 0,
+};
+
 impl<C: DramCacheModel> System<C> {
     /// Builds a system of `cores` cores around `cache` and `mem`.
     ///
@@ -199,6 +335,7 @@ impl<C: DramCacheModel> System<C> {
             cache,
             mem,
             params,
+            gap: GapTiming::new(&params),
             cores: vec![CoreClock::default(); cores],
         }
     }
@@ -233,153 +370,114 @@ impl<C: DramCacheModel> System<C> {
     /// Runs up to `limit` records from `trace`, interleaving cores by
     /// issue time. Returns the number of records consumed.
     ///
-    /// Records are buffered per core (the trace arrives in per-core
-    /// program order but arbitrary global order) and dispatched in global
-    /// `(issue time, core)` order, so the memory system observes a
-    /// globally time-ordered request stream.
-    ///
-    /// The dispatch loop is **chunked**: after consuming a record on core
-    /// `c`, if `c`'s next record still issues no later than every other
-    /// core's head-of-line entry (one peek at the heap minimum), the loop
-    /// stays on `c` and consumes a whole run of its records without a
-    /// heap push + pop per record, and without recomputing the issue time
-    /// it already derived for the heap key. Selection uses the exact
-    /// `(issue_ps, core)` ordering, so the dispatch sequence is
-    /// bit-identical to the historical one-pop-per-record loop (pinned by
-    /// `chunked_dispatch_matches_reference_loop` and the golden suite).
-    ///
-    /// Refill stays *minimal* (pull exactly until the active core's
-    /// buffer is non-empty): `run` is called once for warmup and once for
-    /// measurement with fresh buffers, so any extra read-ahead would be
-    /// dropped at the boundary and shift the measurement stream, breaking
-    /// run-to-run reproducibility against the golden fixtures.
+    /// The trace arrives in per-core program order but arbitrary global
+    /// order; it is de-interleaved through a fresh [`Buffered`] source
+    /// and dispatched in global `(issue time, core)` order, so the memory
+    /// system observes a globally time-ordered request stream. Records
+    /// still buffered when the call returns are dropped, which is the
+    /// phase boundary of [`DispatchSession`] for callers that run warmup
+    /// and measurement as two calls over one iterator.
     pub fn run<I>(&mut self, trace: &mut I, limit: u64) -> u64
     where
         I: Iterator<Item = TraceRecord>,
     {
-        let mut session = DispatchSession::new();
-        self.run_session(&mut session, trace, limit)
+        let mut session = DispatchSession::new(Buffered::new(trace, self.cores.len()));
+        self.run_session(&mut session, limit)
     }
 
-    /// [`System::run`] against caller-held dispatch state: consumes up to
-    /// `limit` further records, leaving `session` ready to continue from
-    /// exactly where this call stopped. Driving one session through many
-    /// small budgets is bit-identical to one [`System::run`] call with
-    /// the summed budget — the stepping primitive batched multi-cell
-    /// simulation interleaves cells with.
-    pub fn run_session<I>(
+    /// Consumes up to `limit` further records from `session`, leaving it
+    /// ready to continue from exactly where this call stopped. Driving
+    /// one session through many small budgets is bit-identical to one
+    /// call with the summed budget — the stepping primitive batched
+    /// multi-cell simulation interleaves cells with.
+    ///
+    /// Selection keeps each core's head-of-line `(issue time, core)` key
+    /// in a flat array and takes its minimum — lowest issue time, then
+    /// lowest core, the order a heap of `(issue, core)` pairs pops in.
+    /// The loop stays on the selected core while its next record still
+    /// sorts before the runner-up (the minimum over the other cores,
+    /// which cannot change meanwhile), so a switch costs one scan and a
+    /// run of records on one core costs none.
+    pub fn run_session<S: RecordSource>(
         &mut self,
-        session: &mut DispatchSession,
-        trace: &mut I,
+        session: &mut DispatchSession<S>,
         limit: u64,
-    ) -> u64
-    where
-        I: Iterator<Item = TraceRecord>,
-    {
+    ) -> u64 {
         let n_cores = self.cores.len();
-        // `bufs` is the per-core record buffer; `heap` holds
-        // Reverse((issue_time, core)) for cores with a computed
-        // head-of-line issue time. Invariant (holds between calls too):
-        // every core with a non-empty buffer has exactly one entry,
-        // except the core currently being consumed inside the inner loop
-        // below.
         let DispatchSession {
-            bufs,
-            heap,
-            exhausted,
+            source,
+            heads,
+            keys,
             primed,
         } = session;
-        let exhausted = &mut *exhausted;
-        let mut consumed = 0u64;
+        let packing = DispatchKeys::new(n_cores);
 
-        // Pulls records until `core`'s buffer is non-empty (or the trace
-        // ends), stashing other cores' records in their buffers. The core
-        // id is in range for any spec-conformant trace, so the wrap is a
-        // predicted-not-taken branch rather than a hardware division.
-        fn refill<I: Iterator<Item = TraceRecord>>(
-            trace: &mut I,
-            bufs: &mut CoreSlab,
-            core: usize,
-            exhausted: &mut bool,
-        ) {
-            let n = bufs.cores();
-            while bufs.is_empty(core) && !*exhausted {
-                match trace.next() {
-                    Some(r) => {
-                        let c = usize::from(r.core);
-                        let c = if c < n { c } else { c % n };
-                        bufs.push_back(c, r);
-                    }
-                    None => *exhausted = true,
-                }
-            }
-        }
-
-        // Prime every core (once per session).
         if !*primed {
-            bufs.ensure_cores(n_cores);
+            heads.clear();
+            heads.resize(n_cores, FILLER);
+            keys.clear();
+            keys.resize(n_cores, IDLE);
             for c in 0..n_cores {
-                refill(trace, bufs, c, exhausted);
-                if let Some(r) = bufs.front(c) {
-                    let issue = self.cores[c].time_ps + self.params.compute_ps(u64::from(r.igap));
-                    heap.push(Reverse((issue, c)));
+                if let Some(r) = source.next_record(c) {
+                    let t = self.cores[c].time_ps + self.gap.compute_ps(r.igap);
+                    keys[c] = packing.pack(t, c);
+                    heads[c] = r;
                 }
             }
             *primed = true;
         }
 
-        'dispatch: while consumed < limit {
-            let Some(Reverse((mut issue, c))) = heap.pop() else {
-                break;
+        let mut consumed = 0u64;
+        let first = min_key(keys);
+        if limit == 0 || first == IDLE {
+            return 0;
+        }
+        let (mut t, mut c) = (packing.time(first), packing.core(first));
+        // The active core's slot reads IDLE, so the minimum of `keys` is
+        // the runner-up among the other cores.
+        keys[c] = IDLE;
+        let mut runner_up = min_key(keys);
+        loop {
+            let rec = heads[c];
+            // `t` was derived from this exact (clock, record) pair, so
+            // the clock advances to it directly.
+            self.cores[c].advance_compute_to(t, u64::from(rec.igap));
+            let req = Request {
+                core: rec.core,
+                pc: rec.pc,
+                addr: rec.addr,
+                is_write: rec.kind.is_write(),
             };
-            // Consume a chunk of records on core `c` while it remains the
-            // globally minimal (issue, core) — no heap churn within the run.
-            loop {
-                let Some(rec) = bufs.pop_front(c) else {
-                    // Unreachable under the invariant (an entry implies a
-                    // non-empty buffer); defensive fallthrough.
-                    continue 'dispatch;
-                };
-                // Advance the core's clock through the instruction gap.
-                // `issue` was derived from this exact (clock, record) pair
-                // when the entry was stored (or by the chunk step below),
-                // so the clock advances to it directly.
-                self.cores[c].advance_compute_to(issue, u64::from(rec.igap));
-                let req = Request {
-                    core: rec.core,
-                    pc: rec.pc,
-                    addr: rec.addr,
-                    is_write: rec.kind.is_write(),
-                };
-                let access = self.cache.access(issue, &req, &mut self.mem);
-                if !req.is_write || self.params.stall_on_stores {
-                    self.cores[c].apply_load(&self.params, issue, access.critical_ps);
-                }
-                consumed += 1;
-
-                refill(trace, bufs, c, exhausted);
-                let Some(r) = bufs.front(c) else {
-                    // Trace exhausted for this core; it leaves the heap.
-                    continue 'dispatch;
-                };
-                let ni = self.cores[c].time_ps + self.params.compute_ps(u64::from(r.igap));
-                if consumed >= limit {
-                    heap.push(Reverse((ni, c)));
-                    break 'dispatch;
-                }
-                match heap.peek() {
-                    // Another core issues strictly earlier (or ties with a
-                    // lower index): hand over via the heap, exactly as the
-                    // per-record loop would.
-                    Some(&Reverse(top)) if top < (ni, c) => {
-                        heap.push(Reverse((ni, c)));
-                        continue 'dispatch;
-                    }
-                    // `c` is still the minimum (or the only runnable
-                    // core): keep consuming its records directly.
-                    _ => issue = ni,
-                }
+            let access = self.cache.access(t, &req, &mut self.mem);
+            if !req.is_write || self.params.stall_on_stores {
+                self.cores[c].apply_load(&self.params, t, access.critical_ps);
             }
+            consumed += 1;
+
+            if let Some(r) = source.next_record(c) {
+                let next_t = self.cores[c].time_ps + self.gap.compute_ps(r.igap);
+                let key = packing.pack(next_t, c);
+                heads[c] = r;
+                if consumed >= limit {
+                    keys[c] = key;
+                    break;
+                }
+                if key < runner_up {
+                    t = next_t;
+                    continue;
+                }
+                keys[c] = key;
+            } else if consumed >= limit {
+                break;
+            }
+            // Hand over to the runner-up (`c` keeps its new key, or stays
+            // IDLE once its records ran out).
+            if runner_up == IDLE {
+                break;
+            }
+            (t, c) = (packing.time(runner_up), packing.core(runner_up));
+            keys[c] = IDLE;
+            runner_up = min_key(keys);
         }
         consumed
     }
@@ -462,8 +560,9 @@ mod tests {
         );
     }
 
-    /// The pre-chunking dispatch loop, verbatim: one heap push + pop per
-    /// record. Kept as the reference the chunked loop must match.
+    /// The original dispatch loop: `VecDeque` per-core buffers and one
+    /// `(issue, core)` heap push + pop per record. Kept as the oracle the
+    /// argmin loop must match.
     fn run_reference<C: DramCacheModel, I: Iterator<Item = TraceRecord>>(
         sys: &mut System<C>,
         trace: &mut I,
@@ -531,26 +630,41 @@ mod tests {
         consumed
     }
 
-    /// The chunked dispatch loop must be indistinguishable from the
-    /// one-pop-per-record reference — same consumed counts, same core
-    /// clocks, same cache statistics — including across a warmup-style
-    /// split where leftover buffered records are dropped between calls.
+    /// Everything a dispatch order can influence: every core's clock,
+    /// the cache statistics, and both DRAM devices' statistics.
+    fn fingerprint<C: DramCacheModel>(sys: &System<C>) -> String {
+        let clocks: Vec<_> = sys
+            .cores
+            .iter()
+            .map(|c| (c.time_ps, c.instructions, c.stall_ps))
+            .collect();
+        format!(
+            "{clocks:?}\n{:?}\n{:?}\n{:?}",
+            sys.cache.stats(),
+            sys.mem.stacked.stats(),
+            sys.mem.offchip.stats()
+        )
+    }
+
+    fn ideal_system(cores: usize) -> System<IdealCache> {
+        System::new(
+            cores,
+            IdealCache::new(1 << 26),
+            MemPorts::paper_default(),
+            CoreParams::default(),
+        )
+    }
+
+    /// The argmin loop must be indistinguishable from the heap reference
+    /// — same consumed counts, same core clocks, same cache statistics —
+    /// including across a warmup-style split where leftover buffered
+    /// records are dropped between calls.
     #[test]
-    fn chunked_dispatch_matches_reference_loop() {
+    fn argmin_dispatch_matches_reference_loop() {
         for seed in [1u64, 7, 42] {
             let spec = workloads::web_serving();
-            let mut fast = System::new(
-                16,
-                IdealCache::new(1 << 26),
-                MemPorts::paper_default(),
-                CoreParams::default(),
-            );
-            let mut slow = System::new(
-                16,
-                IdealCache::new(1 << 26),
-                MemPorts::paper_default(),
-                CoreParams::default(),
-            );
+            let mut fast = ideal_system(16);
+            let mut slow = ideal_system(16);
             let mut trace_a = WorkloadGen::new(spec.clone(), seed);
             let mut trace_b = WorkloadGen::new(spec, seed);
 
@@ -565,78 +679,171 @@ mod tests {
                 fast.run(&mut trace_a, 5_000),
                 run_reference(&mut slow, &mut trace_b, 5_000)
             );
-
-            let (pa, pb) = (fast.progress(), slow.progress());
-            assert_eq!(pa.instructions, pb.instructions, "seed {seed}");
-            assert_eq!(pa.elapsed_ps, pb.elapsed_ps, "seed {seed}");
-            assert_eq!(pa.stall_ps, pb.stall_ps, "seed {seed}");
-            assert_eq!(
-                fast.cache().stats().hits,
-                slow.cache().stats().hits,
-                "seed {seed}"
-            );
-            assert_eq!(
-                fast.cache().stats().accesses,
-                slow.cache().stats().accesses,
-                "seed {seed}"
-            );
+            assert_eq!(fingerprint(&fast), fingerprint(&slow), "seed {seed}");
         }
     }
 
     /// Stepping a persistent session through many odd-sized budget
     /// increments must be indistinguishable from one `run` call with the
     /// summed budget — same consumed counts, clocks, and cache stats —
-    /// including across a warmup-style boundary where each phase gets a
-    /// fresh session (reproducing the buffered-record drop).
+    /// including across a warmup-style boundary, where the session's
+    /// stream-position rule must reproduce the fresh buffers' drop.
     #[test]
     fn session_stepping_matches_single_run() {
         for seed in [1u64, 42] {
             let spec = workloads::web_serving();
-            let mut whole = System::new(
-                16,
-                IdealCache::new(1 << 26),
-                MemPorts::paper_default(),
-                CoreParams::default(),
-            );
-            let mut stepped = System::new(
-                16,
-                IdealCache::new(1 << 26),
-                MemPorts::paper_default(),
-                CoreParams::default(),
-            );
+            let mut whole = ideal_system(16);
+            let mut stepped = ideal_system(16);
             let mut trace_a = WorkloadGen::new(spec.clone(), seed);
-            let mut trace_b = WorkloadGen::new(spec, seed);
+            let trace_b = WorkloadGen::new(spec, seed);
 
             // Warmup phase: 7_000 records in one call vs ragged steps.
             assert_eq!(whole.run(&mut trace_a, 7_000), 7_000);
-            let mut session = DispatchSession::new();
+            let mut session = DispatchSession::new(Buffered::new(trace_b, 16));
             let mut left = 7_000u64;
             for budget in [1u64, 7, 500, 1_234, 9_999] {
-                let got = stepped.run_session(&mut session, &mut trace_b, budget.min(left));
+                let got = stepped.run_session(&mut session, budget.min(left));
                 assert_eq!(got, budget.min(left));
                 left -= got;
             }
             assert_eq!(left, 0);
 
-            // Phase boundary: fresh sessions on both sides.
+            // Phase boundary.
             whole.reset_measurement();
             stepped.reset_measurement();
+            session.next_phase();
             assert_eq!(whole.run(&mut trace_a, 5_000), 5_000);
-            let mut session = DispatchSession::new();
             let mut done = 0u64;
             while done < 5_000 {
-                done += stepped.run_session(&mut session, &mut trace_b, 777.min(5_000 - done));
+                done += stepped.run_session(&mut session, 777.min(5_000 - done));
             }
+            assert_eq!(fingerprint(&whole), fingerprint(&stepped), "seed {seed}");
+        }
+    }
 
-            let (pa, pb) = (whole.progress(), stepped.progress());
-            assert_eq!(pa.instructions, pb.instructions, "seed {seed}");
-            assert_eq!(pa.elapsed_ps, pb.elapsed_ps, "seed {seed}");
-            assert_eq!(pa.stall_ps, pb.stall_ps, "seed {seed}");
-            assert_eq!(whole.cache().stats().hits, stepped.cache().stats().hits);
-            assert_eq!(
-                whole.cache().stats().accesses,
-                stepped.cache().stats().accesses
-            );
+    /// How the race below feeds the argmin loop.
+    #[derive(Debug, Clone, Copy)]
+    enum Feed {
+        /// Live generation through [`Buffered`].
+        Live,
+        /// A finite prefix of the trace through [`Buffered`].
+        Finite(u64),
+        /// A frozen artifact's columns; short ones run dry and grow.
+        Columns(u64),
+    }
+
+    /// Races one experiment-shaped run (warmup, boundary, measurement)
+    /// of the argmin loop, stepped with ragged budgets, against the heap
+    /// reference over the same trace.
+    fn race<C: DramCacheModel>(
+        make: impl Fn() -> C,
+        cores: usize,
+        seed: u64,
+        feed: Feed,
+        phases: [u64; 2],
+        budgets: &[u64],
+        params: CoreParams,
+    ) {
+        let mut spec = workloads::web_serving().scaled(64);
+        spec.cores = cores as u32;
+        let live = || WorkloadGen::new(spec.clone(), seed);
+        let mut fast = System::new(cores, make(), MemPorts::paper_default(), params);
+        let mut slow = System::new(cores, make(), MemPorts::paper_default(), params);
+
+        let artifact;
+        let mut reference: Box<dyn Iterator<Item = TraceRecord>> = match feed {
+            Feed::Finite(n) => Box::new(live().take(n as usize)),
+            Feed::Live | Feed::Columns(_) => Box::new(live()),
+        };
+        let source: Box<dyn RecordSource> = match feed {
+            Feed::Live => Box::new(Buffered::new(live(), cores)),
+            Feed::Finite(n) => Box::new(Buffered::new(live().take(n as usize), cores)),
+            Feed::Columns(n) => {
+                artifact = unison_trace::TraceArtifact::freeze(&spec, seed, n);
+                Box::new(crate::runner::ArtifactColumns::new(
+                    &artifact,
+                    spec.clone(),
+                    seed,
+                    cores,
+                ))
+            }
+        };
+        let mut session = DispatchSession::new(source);
+        let mut steps = budgets.iter().cycle();
+        for (i, &phase) in phases.iter().enumerate() {
+            if i > 0 {
+                fast.reset_measurement();
+                slow.reset_measurement();
+                session.next_phase();
+            }
+            let want = run_reference(&mut slow, &mut reference, phase);
+            // At least one call per phase, even an empty one: a phase
+            // primes every core's head-of-line record before its budget
+            // check, as the reference does.
+            let mut got = 0;
+            loop {
+                let ask = (*steps.next().unwrap()).min(phase - got);
+                let step = fast.run_session(&mut session, ask);
+                got += step;
+                if got == phase || step < ask {
+                    break; // done, or the source ran out
+                }
+            }
+            assert_eq!(got, want, "{feed:?} phase {i}: consumed");
+        }
+        assert_eq!(
+            fingerprint(&fast),
+            fingerprint(&slow),
+            "{cores} cores, seed {seed}, {feed:?}, phases {phases:?}"
+        );
+    }
+
+    impl RecordSource for Box<dyn RecordSource + '_> {
+        fn next_record(&mut self, core: usize) -> Option<TraceRecord> {
+            (**self).next_record(core)
+        }
+
+        fn skip_to_stream_position(&mut self) {
+            (**self).skip_to_stream_position();
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The bit-identity race: for random core counts, seeds, phase
+        /// lengths, ragged step budgets and every record source — live,
+        /// finite, and frozen columns that may run dry — the argmin loop
+        /// leaves every clock, the cache statistics and both DRAM
+        /// devices' statistics exactly as the heap reference does.
+        #[test]
+        fn argmin_loop_races_the_heap_reference(
+            cores in 1usize..=64,
+            seed in any::<u64>(),
+            warmup in prop_oneof![Just(0u64), 1u64..3_000],
+            measure in 1u64..3_000,
+            budgets in proptest::collection::vec(1u64..700, 1..6),
+            feed in 0u8..3,
+            len in 0u64..5_000,
+            nocache in any::<bool>(),
+            odd_ipc in any::<bool>(),
+        ) {
+            let feed = match feed {
+                0 => Feed::Live,
+                1 => Feed::Finite(len),
+                _ => Feed::Columns(len),
+            };
+            let phases = [warmup, measure];
+            // 1.5 keeps the division in the gap timing; 2.0 shifts.
+            let params = CoreParams {
+                ipc_base: if odd_ipc { 1.5 } else { 2.0 },
+                ..CoreParams::default()
+            };
+            if nocache {
+                race(NoCache::new, cores, seed, feed, phases, &budgets, params);
+            } else {
+                race(|| IdealCache::new(1 << 22), cores, seed, feed, phases, &budgets, params);
+            }
         }
     }
 

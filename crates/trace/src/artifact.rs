@@ -3,9 +3,11 @@
 //! A campaign sweeping N designs × M sizes over one workload replays the
 //! *same* `(spec, seed)` record stream N×M times. Regenerating it per cell
 //! pays the full RNG/Zipf synthesis cost every time; a [`TraceArtifact`]
-//! pays it **once**, freezing the stream through the [`crate::codec`]
-//! binary format, and every subsequent consumer iterates a
-//! [`TraceReplay`] cursor straight off the shared buffer — no decode
+//! pays it **once**, freezing the stream in the [`crate::codec`] column
+//! layout — one record column per core plus a 1-byte order stream — and
+//! every subsequent consumer reads straight off the shared buffers: the
+//! simulator's dispatch loop takes each core's records from its column,
+//! and a [`TraceReplay`] cursor yields them in global order. No decode
 //! `Vec`, no per-record heap allocation, and `Bytes` clones share
 //! storage, so handing an artifact to a worker pool is O(1).
 //!
@@ -34,10 +36,11 @@
 
 use bytes::Bytes;
 
-use crate::codec::{self, DecodeError, HEADER_BYTES, RECORD_BYTES};
+use crate::codec::{self, Columns, DecodeError};
 use crate::gen::WorkloadGen;
-use crate::record::{AccessKind, TraceRecord};
 use crate::spec::WorkloadSpec;
+
+pub use crate::codec::TraceReplay;
 
 /// Version of the **synthesis algorithm** behind `WorkloadGen`.
 ///
@@ -105,22 +108,22 @@ impl Default for Fnv1a {
 }
 
 /// A frozen, immutable trace: the first `len` records of
-/// `WorkloadGen::new(spec, seed)` in codec encoding, plus the content key
-/// that addresses it.
+/// `WorkloadGen::new(spec, seed)` in the codec's column layout, plus the
+/// content key that addresses it.
 ///
-/// Cloning is cheap (the payload is a shared [`Bytes`] buffer); campaigns
-/// typically share one artifact behind an `Arc` anyway.
+/// Cloning is cheap (the columns are shared [`Bytes`] buffers);
+/// campaigns typically share one artifact behind an `Arc` anyway.
 #[derive(Debug, Clone)]
 pub struct TraceArtifact {
     key: u64,
     seed: u64,
-    len: usize,
-    bytes: Bytes,
+    columns: Columns,
 }
 
 impl TraceArtifact {
     /// Generates and freezes the first `len` records of
-    /// `WorkloadGen::new(spec, seed)`.
+    /// `WorkloadGen::new(spec, seed)`, writing each record straight into
+    /// its core's column.
     ///
     /// # Panics
     ///
@@ -128,38 +131,32 @@ impl TraceArtifact {
     /// [`WorkloadGen::new`]).
     pub fn freeze(spec: &WorkloadSpec, seed: u64, len: u64) -> Self {
         let len = usize::try_from(len).expect("trace length fits in memory");
-        let mut enc = codec::Encoder::with_capacity(len);
+        let mut enc = codec::Encoder::with_capacity(spec.cores as usize, len);
         for r in WorkloadGen::new(spec.clone(), seed).take(len) {
             enc.push(&r);
         }
         TraceArtifact {
             key: artifact_key(spec, seed),
             seed,
-            len,
-            bytes: enc.finish(),
+            columns: enc.finish(),
         }
     }
 
     /// Rehydrates an artifact from previously persisted bytes (e.g. a
-    /// disk cache), fully validating it: header, version, record
-    /// alignment, **and** every record's kind byte — so [`Self::replay`]
-    /// can iterate infallibly afterwards.
+    /// disk cache), fully validating it: header, version, sizes, every
+    /// order-stream core id against the column counts, **and** every
+    /// record's kind byte — so reading it afterwards is infallible. The
+    /// columns are views into `bytes`, not copies.
     ///
     /// # Errors
     ///
     /// Returns the first [`DecodeError`] found; corrupted cache files
     /// should be treated as misses and regenerated.
     pub fn from_bytes(key: u64, seed: u64, bytes: Bytes) -> Result<Self, DecodeError> {
-        let dec = codec::Decoder::new(&bytes)?;
-        let len = dec.remaining_records();
-        for r in dec {
-            r?;
-        }
         Ok(TraceArtifact {
             key,
             seed,
-            len,
-            bytes,
+            columns: Columns::parse(bytes)?,
         })
     }
 
@@ -176,66 +173,35 @@ impl TraceArtifact {
 
     /// Number of frozen records.
     pub fn len(&self) -> usize {
-        self.len
+        self.columns.len()
     }
 
     /// True when the artifact holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.columns.is_empty()
     }
 
-    /// The encoded payload, suitable for persisting verbatim; a clone of
-    /// the returned buffer shares storage with the artifact.
-    pub fn bytes(&self) -> &Bytes {
-        &self.bytes
+    /// The per-core columns and order stream.
+    pub fn columns(&self) -> &Columns {
+        &self.columns
     }
 
-    /// A zero-allocation replay cursor over the frozen records.
+    /// The encoded artifact, suitable for persisting verbatim and for
+    /// [`Self::from_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates `w`'s I/O errors.
+    pub fn write_to<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
+        self.columns.write_to(w)
+    }
+
+    /// A zero-allocation cursor yielding the frozen records in global
+    /// order.
     pub fn replay(&self) -> TraceReplay<'_> {
-        TraceReplay {
-            buf: &self.bytes[HEADER_BYTES..],
-        }
+        self.columns.iter()
     }
 }
-
-/// Zero-allocation iterator decoding [`TraceRecord`]s straight off an
-/// artifact's buffer cursor.
-///
-/// Infallible by construction: every byte of the artifact was validated
-/// when the artifact was frozen or rehydrated, so iteration is a straight
-/// fixed-stride read with no error path and no heap traffic.
-#[derive(Debug, Clone)]
-pub struct TraceReplay<'a> {
-    buf: &'a [u8],
-}
-
-impl Iterator for TraceReplay<'_> {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
-        let (rec, rest) = self.buf.split_first_chunk::<RECORD_BYTES>()?;
-        self.buf = rest;
-        Some(TraceRecord {
-            core: rec[0],
-            // Validated at freeze/rehydrate time: only 0 or 1 occur.
-            kind: if rec[1] == 0 {
-                AccessKind::Read
-            } else {
-                AccessKind::Write
-            },
-            pc: u64::from_le_bytes(rec[2..10].try_into().expect("8-byte pc field")),
-            addr: u64::from_le_bytes(rec[10..18].try_into().expect("8-byte addr field")),
-            igap: u32::from_le_bytes(rec[18..22].try_into().expect("4-byte igap field")),
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.buf.len() / RECORD_BYTES;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for TraceReplay<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -282,11 +248,15 @@ mod tests {
     fn from_bytes_round_trips() {
         let spec = quick_spec();
         let a = TraceArtifact::freeze(&spec, 3, 1_000);
-        let b = TraceArtifact::from_bytes(a.key(), 3, a.bytes().clone()).expect("valid payload");
+        let mut encoded = Vec::new();
+        a.write_to(&mut encoded).unwrap();
+        let bytes = Bytes::from(encoded);
+        let b = TraceArtifact::from_bytes(a.key(), 3, bytes.clone()).expect("valid payload");
         assert_eq!(b.len(), 1_000);
         assert_eq!(b.seed(), 3);
+        let within = |p: *const u8| bytes.as_ptr_range().contains(&p);
         assert!(
-            a.bytes().shares_storage_with(b.bytes()),
+            within(b.columns().order().as_ptr()),
             "rehydration must not copy the payload"
         );
         assert_eq!(
@@ -299,35 +269,36 @@ mod tests {
     fn from_bytes_rejects_corruption() {
         let spec = quick_spec();
         let a = TraceArtifact::freeze(&spec, 3, 10);
-        let good = a.bytes().to_vec();
+        let mut good = Vec::new();
+        a.write_to(&mut good).unwrap();
+        let load = |v: Vec<u8>| TraceArtifact::from_bytes(a.key(), 3, v.into()).err();
 
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
-        assert_eq!(
-            TraceArtifact::from_bytes(a.key(), 3, bad_magic.into()).err(),
-            Some(DecodeError::BadMagic)
-        );
+        assert_eq!(load(bad_magic), Some(DecodeError::BadMagic));
 
         let mut bad_version = good.clone();
         bad_version[8] = 99;
-        assert_eq!(
-            TraceArtifact::from_bytes(a.key(), 3, bad_version.into()).err(),
-            Some(DecodeError::BadVersion(99))
-        );
+        assert_eq!(load(bad_version), Some(DecodeError::BadVersion(99)));
 
-        let truncated = good[..good.len() - 5].to_vec();
         assert_eq!(
-            TraceArtifact::from_bytes(a.key(), 3, truncated.into()).err(),
+            load(good[..good.len() - 5].to_vec()),
             Some(DecodeError::Truncated)
         );
 
         let mut bad_kind = good.clone();
-        bad_kind[HEADER_BYTES + 1] = 7;
+        let last_entry = good.len() - codec::COLUMN_RECORD_BYTES;
+        bad_kind[last_entry] = 7;
         assert_eq!(
-            TraceArtifact::from_bytes(a.key(), 3, bad_kind.into()).err(),
+            load(bad_kind),
             Some(DecodeError::BadKind(7)),
             "rehydration must validate every record, not just the header"
         );
+
+        let mut bad_core = good.clone();
+        let order_start = codec::HEADER_BYTES + 8 * a.columns().cores();
+        bad_core[order_start] = 200;
+        assert_eq!(load(bad_core), Some(DecodeError::BadCore(200)));
     }
 
     #[test]

@@ -7,7 +7,8 @@ use crate::profile::ProfileMix;
 /// Full parameterization of one synthetic workload.
 ///
 /// The six presets in [`crate::workloads`] fill these fields to mimic the
-/// CloudSuite/TPC-H behaviours the paper reports; see DESIGN.md §4 for the
+/// CloudSuite/TPC-H behaviours the paper reports; see "Scale substitution
+/// and workload calibration" in the repository README for the
 /// calibration targets each knob serves.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {

@@ -3,8 +3,9 @@
 //! Knob values are calibrated so the *relative* behaviours the paper
 //! reports hold: predictor-accuracy bands (Table V), miss-ratio ordering
 //! and trends (Figures 5/6), and speedup ordering (Figures 7/8). See
-//! DESIGN.md §4 for the per-workload calibration targets and EXPERIMENTS.md
-//! for the measured outcomes.
+//! "Scale substitution and workload calibration" in the repository
+//! README for the calibration targets and EXPERIMENTS.md for the
+//! measured outcomes.
 
 use crate::profile::ProfileMix;
 use crate::spec::WorkloadSpec;

@@ -1,7 +1,7 @@
 //! Property-based tests for the trace layer.
 
 use proptest::prelude::*;
-use unison_trace::codec::{decode, encode, Decoder};
+use unison_trace::codec::{self, decode, encode};
 use unison_trace::{workloads, AccessKind, TraceArtifact, TraceRecord, WorkloadGen, Zipf};
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
@@ -40,12 +40,59 @@ proptest! {
         let _ = decode(&bytes);
     }
 
-    /// The streaming decoder agrees with the batch decoder on arbitrary
-    /// bytes: same records on success, same first error otherwise.
+    /// Past a valid magic and version, arbitrary bytes still only ever
+    /// decode to an error or a complete record stream.
     #[test]
-    fn streaming_decode_equals_batch_decode(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let streamed = Decoder::new(&bytes).and_then(Iterator::collect::<Result<Vec<_>, _>>);
-        prop_assert_eq!(streamed, decode(&bytes));
+    fn decode_is_total_past_the_header(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
+        let mut buf = codec::MAGIC.to_vec();
+        buf.extend_from_slice(&codec::VERSION.to_le_bytes());
+        buf.extend_from_slice(&bytes);
+        let _ = decode(&buf);
+    }
+
+    /// Rehydrating a mutated or truncated artifact never panics: it
+    /// returns `Err`, or an artifact whose replay yields every record
+    /// with an in-range core. An edit lands anywhere, in the header and
+    /// column counts, or in the order stream with a value small enough
+    /// to move a record to another real core instead of naming a core
+    /// with no column.
+    #[test]
+    fn artifact_from_bytes_survives_mutation_and_truncation(
+        seed in any::<u64>(),
+        len in 0u64..300,
+        edits in proptest::collection::vec((any::<u64>(), any::<u8>(), 0u8..3), 1..6),
+        cut in any::<u64>(),
+        truncate in any::<bool>(),
+    ) {
+        let spec = workloads::web_search().scaled(64);
+        let good = TraceArtifact::freeze(&spec, seed, len);
+        let mut bytes = Vec::new();
+        good.write_to(&mut bytes).unwrap();
+        let cores = good.columns().cores();
+        let order_start = codec::HEADER_BYTES + 8 * cores;
+        for (at, value, mode) in edits {
+            let (start, span, value) = match mode {
+                0 => (0, bytes.len(), value),
+                1 => (0, order_start, value),
+                _ if good.is_empty() => continue,
+                _ => (order_start, good.len(), value % (cores as u8 + 1)),
+            };
+            bytes[start + (at % span as u64) as usize] = value;
+        }
+        if truncate {
+            bytes.truncate((cut % bytes.len() as u64) as usize);
+        }
+        if let Ok(a) = TraceArtifact::from_bytes(good.key(), seed, bytes.into()) {
+            let cores = a.columns().cores();
+            let mut n = 0;
+            for r in a.replay() {
+                prop_assert!(usize::from(r.core) < cores);
+                n += 1;
+            }
+            prop_assert_eq!(n, a.len());
+            let total: usize = (0..cores).map(|c| a.columns().column(c).len()).sum();
+            prop_assert_eq!(total, a.len());
+        }
     }
 
     /// Replaying a frozen artifact yields the byte-identical record
@@ -59,9 +106,10 @@ proptest! {
             let live: Vec<_> = WorkloadGen::new(spec.clone(), seed).take(len as usize).collect();
             let replayed: Vec<_> = artifact.replay().collect();
             prop_assert_eq!(&replayed, &live, "workload {} seed {}", spec.name, seed);
-            // And the frozen payload is byte-identical to encoding the
-            // live stream, so artifacts are stable cache currency.
-            prop_assert_eq!(artifact.bytes().to_vec(), encode(&live).to_vec());
+            // The persisted form decodes back to the live stream, with
+            // one column per core of the spec.
+            prop_assert_eq!(decode(&artifact.columns().to_vec()).unwrap(), live);
+            prop_assert_eq!(artifact.columns().cores(), spec.cores as usize);
         }
     }
 
