@@ -13,10 +13,9 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use unison_sim::{
-    check_baseline, run_experiment_with_source, run_speedup_with_baseline_source, CellSim, Design,
-    RunResult, SimConfig, SystemSpec, TraceSource,
+    run_experiment_with_source, run_speedup_with_baseline_source, Design, RunResult, SimConfig,
+    SystemSpec, TraceSource,
 };
-use unison_trace::TraceArtifact;
 
 use crate::baseline::BaselineStore;
 use crate::fault;
@@ -25,8 +24,8 @@ use crate::journal::{IndexedCell, Journal, ShardOutput};
 use crate::pool::{self, parallel_map};
 use crate::progress::{CounterSnapshot, ProgressConfig, ProgressReporter};
 use crate::scheduler::{
-    BaselineTask, CellKey, ExecHooks, Executor, InProcessExecutor, PlannedCell, ShardSpec,
-    ShardedExecutor, TaskPlan, TracePrefillTask,
+    BaselineTask, CellKey, ExecHooks, Executor, InProcessExecutor, ShardSpec, ShardedExecutor,
+    TaskPlan, TracePrefillTask,
 };
 use crate::stats::geomean;
 use crate::telemetry::{CampaignTiming, Clock, MonotonicClock, Phase, Telemetry};
@@ -287,7 +286,6 @@ pub struct Campaign {
     threads: usize,
     progress: ProgressConfig,
     traces: TracePolicy,
-    batch: bool,
     journal: Option<PathBuf>,
     resume: bool,
     excluded: HashSet<CellKey>,
@@ -304,7 +302,6 @@ impl Campaign {
             threads: pool::default_threads(),
             progress: ProgressConfig::off(),
             traces: TracePolicy::default(),
-            batch: true,
             journal: None,
             resume: false,
             excluded: HashSet::new(),
@@ -365,21 +362,6 @@ impl Campaign {
     /// replay it for every cell).
     pub fn traces(mut self, policy: TracePolicy) -> Self {
         self.traces = policy;
-        self
-    }
-
-    /// Enables/disables trace-shared batched execution (default: on).
-    ///
-    /// When on and a trace store is configured, cells replaying the same
-    /// frozen artifact are grouped and their simulations interleaved over
-    /// one streaming pass of the shared bytes (see
-    /// [`crate::scheduler::plan_batches`]). Purely a locality/throughput
-    /// strategy: results, journals, and shard outputs are bit-identical
-    /// either way (pinned by `batched_execution_is_bit_identical`).
-    /// Ignored under [`TracePolicy::Generate`], which has no shared
-    /// artifacts to batch over.
-    pub fn batch(mut self, on: bool) -> Self {
-        self.batch = on;
         self
     }
 
@@ -636,16 +618,6 @@ impl Campaign {
                     .fold(0u64, u64::saturating_add),
             );
         }
-        let run_batch = |cells: &[&PlannedCell]| {
-            self.run_cell_batch(
-                cells,
-                store.as_ref(),
-                traces
-                    .as_deref()
-                    .expect("batching is only installed with a trace store"),
-                &telemetry,
-            )
-        };
         let executed = telemetry.time_phase(Phase::Cells, || {
             executor.execute(
                 &plan,
@@ -661,8 +633,6 @@ impl Campaign {
                         r.wall_ns = telemetry.now_ns().saturating_sub(start);
                         r
                     },
-                    run_batch: (self.batch && traces.is_some())
-                        .then_some(&run_batch as &crate::scheduler::BatchRunner),
                     cost: plan_costs.as_deref(),
                     observe: &mut |pc, r| {
                         if let Some(j) = &journal {
@@ -780,130 +750,6 @@ impl Campaign {
             ),
         }
     }
-
-    /// Runs one trace-sharing batch: every cell's [`CellSim`] is stepped
-    /// round-robin in [`Self::BATCH_STEP_RECORDS`]-record slices, so the
-    /// batch makes one streaming pass over the shared artifact bytes with
-    /// all cells' replay cursors inside the same hot region — instead of
-    /// each cell streaming the whole artifact through the cache alone.
-    ///
-    /// Bit-identity with per-cell execution holds by construction
-    /// (stepping a `CellSim` is bit-identical to the one-shot runner, and
-    /// cells share no mutable state) and is pinned by
-    /// `batched_execution_is_bit_identical`. Per-cell `wall_ns` is
-    /// accumulated across this cell's own setup and step slices, so the
-    /// telemetry still reports per-cell simulation cost.
-    fn run_cell_batch(
-        &self,
-        cells: &[&PlannedCell],
-        store: Option<&BaselineStore>,
-        traces: &TraceStore,
-        telemetry: &Telemetry,
-    ) -> Vec<CellResult> {
-        let tag = |pc: &PlannedCell, speedup: Option<f64>, run: RunResult, wall_ns: u64| {
-            let cell = &pc.cell;
-            CellResult {
-                scenario: cell.scenario.name.clone(),
-                system: cell.scenario.system,
-                cores: cell.scenario.system.resolved_cores(&cell.workload),
-                seed: cell.seed,
-                speedup,
-                run,
-                wall_ns,
-            }
-        };
-
-        let mut results: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
-
-        // Setup pass: per-cell config, memoized baseline, and the shared
-        // artifact handle. NoCache speedup cells finish right here
-        // (baseline reuse — no simulation, exactly as `run_cell`).
-        struct Pending {
-            pos: usize,
-            cfg: SimConfig,
-            base_uipc: Option<f64>,
-            artifact: Arc<TraceArtifact>,
-            wall_ns: u64,
-        }
-        let mut pending: Vec<Pending> = Vec::new();
-        for (pos, pc) in cells.iter().enumerate() {
-            let cell = &pc.cell;
-            fault::check_cell_start(&pc.key.hex());
-            let start = telemetry.now_ns();
-            let mut cfg = self.cfg;
-            cfg.seed = cell.seed;
-            cfg.system = cell.scenario.system;
-            let base =
-                store.map(|s| s.get_for_system(&cell.workload, &cell.scenario.system, cell.seed));
-            if let (Some(base), Design::NoCache) = (&base, cell.design) {
-                let mut run = base.clone();
-                run.cache_bytes = cell.cache_bytes;
-                let wall_ns = telemetry.now_ns().saturating_sub(start);
-                results[pos] = Some(tag(pc, Some(1.0), run, wall_ns));
-                continue;
-            }
-            if let Some(base) = &base {
-                check_baseline(base);
-            }
-            let plan = cfg.trace_plan(&cell.workload, cell.cache_bytes);
-            let artifact = traces.get(&plan.scaled_spec, cell.seed, plan.frozen_len);
-            pending.push(Pending {
-                pos,
-                cfg,
-                base_uipc: base.map(|b| b.uipc),
-                artifact,
-                wall_ns: telemetry.now_ns().saturating_sub(start),
-            });
-        }
-
-        // Simulation pass: step every live cell round-robin until all
-        // are done. Each tuple carries (cell position, sim, baseline
-        // UIPC, accumulated wall time).
-        let mut sims: Vec<(usize, CellSim<'_>, Option<f64>, u64)> = pending
-            .iter()
-            .map(|p| {
-                let cell = &cells[p.pos].cell;
-                let sim = CellSim::new(
-                    cell.design,
-                    cell.cache_bytes,
-                    &cell.workload,
-                    &p.cfg,
-                    &p.artifact,
-                );
-                (p.pos, sim, p.base_uipc, p.wall_ns)
-            })
-            .collect();
-        loop {
-            let mut live = false;
-            for (_, sim, _, wall_ns) in &mut sims {
-                if sim.is_done() {
-                    continue;
-                }
-                let start = telemetry.now_ns();
-                sim.step(Self::BATCH_STEP_RECORDS);
-                *wall_ns += telemetry.now_ns().saturating_sub(start);
-                live = true;
-            }
-            if !live {
-                break;
-            }
-        }
-        for (pos, sim, base_uipc, wall_ns) in sims {
-            let run = sim.into_result();
-            let speedup = base_uipc.map(|b| run.uipc / b);
-            results[pos] = Some(tag(cells[pos], speedup, run, wall_ns));
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batched cell produced a result"))
-            .collect()
-    }
-
-    /// Records each cell consumes per round-robin turn in a batch: large
-    /// enough that dispatch-loop state stays warm within a turn, small
-    /// enough (≈ 1 MiB of encoded trace) that all cursors in a batch stay
-    /// within the same recently-touched region of the shared artifact.
-    const BATCH_STEP_RECORDS: u64 = 65_536;
 }
 
 #[cfg(test)]
@@ -1017,11 +863,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Trace-shared batched execution is a throughput strategy, not a
-    /// semantic one: toggling it (and the pool width under it) must not
-    /// change a single canonical byte of the campaign output.
+    /// Pool width is a throughput knob, not a semantic one: running the
+    /// same cells on one worker or three must not change a single
+    /// canonical byte of the campaign output.
     #[test]
-    fn batched_execution_is_bit_identical() {
+    fn pool_width_is_bit_identical() {
         let grid = ScenarioGrid::new()
             .designs([
                 Design::Unison,
@@ -1031,23 +877,21 @@ mod tests {
             ])
             .workloads([workloads::web_search(), workloads::data_serving()])
             .sizes([256 << 20]);
-        let unbatched = Campaign::new(SimConfig::quick_test())
+        let serial = Campaign::new(SimConfig::quick_test())
             .threads(1)
-            .batch(false)
             .run_speedups(&grid);
-        let batched = Campaign::new(SimConfig::quick_test())
+        let pooled = Campaign::new(SimConfig::quick_test())
             .threads(3)
-            .batch(true)
             .run_speedups(&grid);
         assert_eq!(
-            serde_json::to_string(&unbatched.canonical_cells()).unwrap(),
-            serde_json::to_string(&batched.canonical_cells()).unwrap(),
-            "batched campaign diverged from per-cell execution"
+            serde_json::to_string(&serial.canonical_cells()).unwrap(),
+            serde_json::to_string(&pooled.canonical_cells()).unwrap(),
+            "a 3-thread campaign diverged from the serial run"
         );
-        // Batched cells still carry their own simulation wall time.
-        // (NoCache cells reuse the baseline; their near-instant fetch
-        // may round to 0 ns, so only simulated cells are asserted.)
-        assert!(batched
+        // Every simulated cell carries its own wall time. (NoCache cells
+        // reuse the baseline; their near-instant fetch may round to 0 ns,
+        // so only simulated cells are asserted.)
+        assert!(pooled
             .cells
             .iter()
             .filter(|c| c.design() != "NoCache")
@@ -1055,8 +899,7 @@ mod tests {
     }
 
     /// LPT scheduling under a cost model reorders execution only:
-    /// canonical output is byte-identical to a model-free serial run,
-    /// for both the batched and per-cell paths.
+    /// canonical output is byte-identical to a model-free serial run.
     #[test]
     fn lpt_scheduling_is_bit_identical() {
         let grid = ScenarioGrid::new()
@@ -1082,40 +925,14 @@ mod tests {
                 ns,
             );
         }
-        for batch in [false, true] {
-            let lpt = Campaign::new(SimConfig::quick_test())
-                .threads(2)
-                .batch(batch)
-                .costs(model.clone())
-                .run_speedups(&grid);
-            assert_eq!(
-                serde_json::to_string(&plain.canonical_cells()).unwrap(),
-                serde_json::to_string(&lpt.canonical_cells()).unwrap(),
-                "LPT (batch={batch}) diverged from the serial run"
-            );
-        }
-    }
-
-    /// Plain (no-speedup) campaigns batch too — including `NoCache`
-    /// cells, which have no baseline to reuse and simulate like any
-    /// other design.
-    #[test]
-    fn batched_plain_campaign_is_bit_identical() {
-        let grid = ScenarioGrid::new()
-            .designs([Design::Ideal, Design::NoCache])
-            .workloads([workloads::web_search()])
-            .sizes([256 << 20]);
-        let unbatched = Campaign::new(SimConfig::quick_test())
-            .threads(1)
-            .batch(false)
-            .run(&grid);
-        let batched = Campaign::new(SimConfig::quick_test())
+        let lpt = Campaign::new(SimConfig::quick_test())
             .threads(2)
-            .batch(true)
-            .run(&grid);
+            .costs(model)
+            .run_speedups(&grid);
         assert_eq!(
-            serde_json::to_string(&unbatched.canonical_cells()).unwrap(),
-            serde_json::to_string(&batched.canonical_cells()).unwrap(),
+            serde_json::to_string(&plain.canonical_cells()).unwrap(),
+            serde_json::to_string(&lpt.canonical_cells()).unwrap(),
+            "LPT diverged from the serial run"
         );
     }
 

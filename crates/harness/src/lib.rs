@@ -116,8 +116,8 @@ pub use progress::{
     WorkerSample,
 };
 pub use scheduler::{
-    plan_batches, BalancedExecutor, BatchRunner, CellKey, ExecHooks, Executor, InProcessExecutor,
-    PlannedCell, ShardSpec, ShardedExecutor, TaskPlan,
+    BalancedExecutor, CellKey, ExecHooks, Executor, InProcessExecutor, PlannedCell, ShardSpec,
+    ShardedExecutor, TaskPlan,
 };
 pub use telemetry::{CampaignTiming, Clock, MockClock, MonotonicClock, Phase, Telemetry};
 pub use trace_store::TraceStore;

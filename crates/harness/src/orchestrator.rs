@@ -881,13 +881,59 @@ mod tests {
         assert_eq!(
             extract_last_key(log).as_deref(),
             Some("ffeeddccbbaa9988"),
-            "a panic payload carrying its own key outranks the batch label"
+            "a panic payload carrying its own key outranks the pool label"
         );
         assert_eq!(extract_last_key("key=123 too short"), None);
         assert_eq!(extract_last_key("no tags at all"), None);
         assert_eq!(
             extract_last_key("[fault] crash-after-cells firing after cell key=0123456789ABCDEF"),
             Some("0123456789abcdef".to_string())
+        );
+    }
+
+    /// A genuine panic in a cell that shares its trace artifact with an
+    /// earlier cell must name that cell: the key extracted from the
+    /// pool's panic message is the one the supervisor quarantines, so a
+    /// neighbour's key there would quarantine a healthy cell and leave
+    /// the faulty one killing workers.
+    #[test]
+    fn culprit_of_a_cell_panic_is_that_cell_not_its_trace_neighbour() {
+        use crate::{Campaign, ScenarioGrid, TaskPlan};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use unison_sim::{Design, SimConfig};
+        use unison_trace::workloads;
+
+        // Zero ways trips an assertion inside the Unison constructor: a
+        // real panic in the run hook, after Ideal on the same trace.
+        let grid = ScenarioGrid::new()
+            .designs([Design::Ideal, Design::UnisonAssoc(0)])
+            .workloads([workloads::web_search()])
+            .sizes([256 << 20]);
+        let cfg = SimConfig::quick_test();
+        let plan = TaskPlan::lower(&cfg, &grid, false);
+        let faulty = plan
+            .cells
+            .iter()
+            .find(|pc| pc.cell.design == Design::UnisonAssoc(0))
+            .expect("the zero-way cell is planned");
+        assert!(
+            plan.cells
+                .iter()
+                .any(|pc| pc.prefill == faulty.prefill && pc.index < faulty.index),
+            "the faulty cell must not be first in its trace group"
+        );
+
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            Campaign::new(cfg).threads(1).run(&grid)
+        }))
+        .expect_err("a zero-way Unison cell must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("the pool re-raises with a String payload");
+        assert_eq!(
+            extract_last_key(msg),
+            Some(faulty.key.hex()),
+            "culprit misattributed: {msg}"
         );
     }
 }

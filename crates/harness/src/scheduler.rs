@@ -315,10 +315,6 @@ impl TaskPlan {
     }
 }
 
-/// A closure running one trace-sharing batch of cells, returning one
-/// result per cell in batch order (see [`ExecHooks::run_batch`]).
-pub type BatchRunner<'a> = dyn Fn(&[&PlannedCell]) -> Vec<CellResult> + Sync + 'a;
-
 /// Everything an executor needs besides the plan: the worker-pool
 /// width, the set of plan indices already satisfied (restored from a
 /// resume journal), the cell-running closure (baseline store and trace
@@ -332,14 +328,6 @@ pub struct ExecHooks<'a> {
     pub skip: &'a HashSet<usize>,
     /// Runs one cell task to completion.
     pub run: &'a (dyn Fn(&PlannedCell) -> CellResult + Sync),
-    /// Runs a whole trace-sharing batch of cell tasks, returning one
-    /// result per cell in batch order. When set, execution routes every
-    /// cell through [`plan_batches`] groups instead of [`ExecHooks::run`]
-    /// — the campaign installs this when trace sharing is enabled, so
-    /// cells replaying the same artifact interleave over one streaming
-    /// pass of its bytes. Results must be (and are, pinned by the
-    /// batching identity tests) bit-identical to per-cell execution.
-    pub run_batch: Option<&'a BatchRunner<'a>>,
     /// Observes each completion, on the coordinating thread, in
     /// completion (not grid) order.
     pub observe: &'a mut dyn FnMut(&PlannedCell, &CellResult),
@@ -351,38 +339,6 @@ pub struct ExecHooks<'a> {
     /// Scheduling only: results are returned in plan order either way,
     /// and canonical output stays byte-identical.
     pub cost: Option<&'a [u64]>,
-}
-
-/// Groups `indices` (plan indices, ascending) into trace-sharing batches:
-/// cells replaying the same prefill artifact land in the same group, in
-/// first-seen plan order. Each group is then split into sub-batches of at
-/// most `ceil(len / threads)` cells (capped at 8) so one oversized group
-/// cannot serialize the pool — a batch is one worker task, and its cells
-/// simulate interleaved on that worker.
-pub fn plan_batches(plan: &TaskPlan, indices: &[usize], threads: usize) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut group_of: HashMap<usize, usize> = HashMap::new();
-    for &i in indices {
-        let prefill = plan.cells[i].prefill;
-        match group_of.get(&prefill) {
-            Some(&g) => groups[g].push(i),
-            None => {
-                group_of.insert(prefill, groups.len());
-                groups.push(vec![i]);
-            }
-        }
-    }
-    // Sub-batch cap: small enough that the batches spread across the
-    // pool, bounded so one batch never holds more than 8 live systems.
-    let cap = indices.len().div_ceil(threads.max(1)).clamp(1, 8);
-    groups
-        .into_iter()
-        .flat_map(|g| {
-            g.chunks(cap)
-                .map(<[usize]>::to_vec)
-                .collect::<Vec<Vec<usize>>>()
-        })
-        .collect()
 }
 
 /// A strategy for executing (a partition of) a [`TaskPlan`].
@@ -405,75 +361,16 @@ pub trait Executor {
     /// Human-readable label for progress lines.
     fn describe(&self) -> String;
 
-    /// Executes every assigned cell not in `hooks.skip` and returns the
-    /// completions in plan order. When [`ExecHooks::run_batch`] is set,
-    /// cells run in [`plan_batches`] trace-sharing groups (one batch per
-    /// worker task); either way results come back `(plan index, result)`
-    /// in plan order, so the batching strategy never changes output.
+    /// Executes every assigned cell not in `hooks.skip`, one pool task
+    /// per cell, and returns the completions `(plan index, result)` in
+    /// plan order, so scheduling never changes output.
     fn execute(&self, plan: &TaskPlan, hooks: ExecHooks<'_>) -> Vec<(usize, CellResult)> {
-        let indices: Vec<usize> = self
+        let mut indices: Vec<usize> = self
             .assigned(plan)
             .into_iter()
             .filter(|i| !hooks.skip.contains(i))
             .collect();
         let observe = hooks.observe;
-        if let Some(run_batch) = hooks.run_batch {
-            let mut batches = plan_batches(plan, &indices, hooks.threads);
-            if let Some(cost) = hooks.cost {
-                // LPT over batches: heaviest predicted batch first, ties
-                // broken by first plan index for determinism. Grouping
-                // is unchanged — only the order batches enter the pool.
-                batches.sort_by_key(|b| {
-                    let total: u64 = b
-                        .iter()
-                        .map(|&i| cost.get(i).copied().unwrap_or(0))
-                        .fold(0, u64::saturating_add);
-                    (std::cmp::Reverse(total), b[0])
-                });
-            }
-            let results: Vec<Vec<CellResult>> = pool::parallel_map_observed(
-                &batches,
-                hooks.threads,
-                |b| {
-                    let cells: Vec<&PlannedCell> = b.iter().map(|&i| &plan.cells[i]).collect();
-                    let rs = run_batch(&cells);
-                    assert_eq!(
-                        rs.len(),
-                        cells.len(),
-                        "batch runner must return one result per cell"
-                    );
-                    rs
-                },
-                &|b| {
-                    // The [key=…] tag is machine-parseable culprit
-                    // identity: the orchestrator greps a dead worker's
-                    // log for it to decide which cell to quarantine. A
-                    // batch is labeled by its first cell (best effort —
-                    // a panic message carrying its own key, like an
-                    // injected poison cell, overrides it since culprit
-                    // extraction takes the last key on the line).
-                    let pc = &plan.cells[b[0]];
-                    let first = format!("{} [key={}]", pc.cell.describe(), pc.key.hex());
-                    match b.len() {
-                        1 => first,
-                        n => format!("{first} (+{} trace-sharing cell(s))", n - 1),
-                    }
-                },
-                &mut |slot, rs| {
-                    for (&i, r) in batches[slot].iter().zip(rs) {
-                        observe(&plan.cells[i], r);
-                    }
-                },
-            );
-            let mut out: Vec<(usize, CellResult)> = batches
-                .iter()
-                .zip(results)
-                .flat_map(|(b, rs)| b.iter().copied().zip(rs))
-                .collect();
-            out.sort_by_key(|(i, _)| *i);
-            return out;
-        }
-        let mut indices = indices;
         if let Some(cost) = hooks.cost {
             crate::costs::order_lpt(cost, &mut indices);
         }
@@ -483,6 +380,9 @@ pub trait Executor {
             &tasks,
             hooks.threads,
             |pc| run(pc),
+            // The [key=…] tag is machine-parseable culprit identity: the
+            // orchestrator greps a dead worker's log for it to decide
+            // which cell to quarantine.
             &|pc| format!("{} [key={}]", pc.cell.describe(), pc.key.hex()),
             &mut |slot, r| observe(tasks[slot], r),
         );
@@ -720,78 +620,6 @@ mod tests {
             InProcessExecutor.assigned(&plan),
             (0..plan.len()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn batches_group_by_artifact_and_split_across_the_pool() {
-        let cfg = SimConfig::quick_test();
-        // 2 workloads × 2 designs × 2 sizes = 8 cells over 2 artifacts.
-        let plan = TaskPlan::lower(&cfg, &grid(), true);
-        let all: Vec<usize> = (0..plan.len()).collect();
-
-        // Every batch is homogeneous in prefill, and the batches cover
-        // the requested indices exactly once, in plan order.
-        for threads in [1usize, 2, 4, 16] {
-            let batches = plan_batches(&plan, &all, threads);
-            let mut covered: Vec<usize> = Vec::new();
-            for b in &batches {
-                assert!(!b.is_empty());
-                let prefill = plan.cells[b[0]].prefill;
-                assert!(b.iter().all(|&i| plan.cells[i].prefill == prefill));
-                covered.extend(b);
-            }
-            covered.sort_unstable();
-            assert_eq!(covered, all, "{threads} threads");
-        }
-
-        // 8 cells on 4 threads: cap is ceil(8/4)=2, so the two 4-cell
-        // artifact groups split into four 2-cell batches and the whole
-        // pool stays busy.
-        let batches = plan_batches(&plan, &all, 4);
-        assert_eq!(batches.len(), 4);
-        assert!(batches.iter().all(|b| b.len() == 2));
-
-        // One thread: no need to split below the 8-cell cap.
-        let serial = plan_batches(&plan, &all, 1);
-        assert_eq!(serial.len(), 2, "one batch per artifact");
-
-        // A partial to-run set (resume/shard leftovers) batches the
-        // same way.
-        let subset = [1usize, 3, 6];
-        let partial = plan_batches(&plan, &subset, 1);
-        let covered: Vec<usize> = partial.iter().flatten().copied().collect();
-        assert_eq!(covered.len(), 3);
-        assert!(subset.iter().all(|i| covered.contains(i)));
-    }
-
-    #[test]
-    fn batch_cap_bounds_live_systems() {
-        let cfg = SimConfig::quick_test();
-        // One workload, many sizes: a single large artifact group.
-        let g = ScenarioGrid::new()
-            .designs([Design::Unison, Design::Ideal])
-            .workloads([workloads::web_search()])
-            .sizes([
-                64 << 20,
-                128 << 20,
-                256 << 20,
-                512 << 20,
-                1 << 30,
-                2 << 30,
-                3 << 30,
-                4 << 30,
-                6 << 30,
-                8 << 30,
-            ]);
-        let plan = TaskPlan::lower(&cfg, &g, false);
-        let all: Vec<usize> = (0..plan.len()).collect();
-        assert_eq!(plan.len(), 20);
-        let batches = plan_batches(&plan, &all, 1);
-        assert!(
-            batches.iter().all(|b| b.len() <= 8),
-            "no batch may hold more than 8 live systems"
-        );
-        assert!(batches.len() >= 3, "20 cells at cap 8 need ≥3 batches");
     }
 
     #[test]

@@ -34,21 +34,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cell_sim;
 mod core_model;
 mod metrics;
 mod runner;
 pub mod scenario;
 mod system;
 
-pub use cell_sim::CellSim;
 pub use core_model::CoreParams;
 pub use metrics::RunResult;
 pub use runner::{
-    check_baseline, replay_lookahead, run_baseline, run_experiment,
-    run_experiment_timed_with_source, run_experiment_with_source, run_speedup,
+    replay_lookahead, run_baseline, run_experiment, run_experiment_with_source, run_speedup,
     run_speedup_with_baseline, run_speedup_with_baseline_source, Design, SimConfig, SpeedupResult,
-    Timed, TracePlan, TraceSource,
+    TracePlan, TraceSource,
 };
 pub use scenario::{scenarios_from_json, Scenario, SystemSpec};
 pub use system::{Buffered, DispatchSession, RecordSource, System};

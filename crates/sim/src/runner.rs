@@ -330,9 +330,7 @@ pub enum TraceSource<'a> {
 pub(crate) struct ArtifactColumns<'a> {
     base: &'a TraceArtifact,
     grown: Option<TraceArtifact>,
-    /// Owned so long-lived consumers (the batched [`crate::CellSim`])
-    /// only borrow the artifact, not a stack-local trace plan.
-    scaled_spec: WorkloadSpec,
+    scaled_spec: &'a WorkloadSpec,
     seed: u64,
     /// Records taken from each core's column so far.
     next: Vec<usize>,
@@ -350,7 +348,7 @@ impl<'a> ArtifactColumns<'a> {
     /// cores: its extra cores' records would have no core to run on.
     pub(crate) fn new(
         artifact: &'a TraceArtifact,
-        scaled_spec: WorkloadSpec,
+        scaled_spec: &'a WorkloadSpec,
         seed: u64,
         cores: usize,
     ) -> Self {
@@ -378,7 +376,7 @@ impl<'a> ArtifactColumns<'a> {
     #[inline(never)]
     fn grow_and_take(&mut self, core: usize) -> Option<TraceRecord> {
         let len = self.artifact().len() as u64;
-        let longer = TraceArtifact::freeze(&self.scaled_spec, self.seed, 2 * len + 1024);
+        let longer = TraceArtifact::freeze(self.scaled_spec, self.seed, 2 * len + 1024);
         let rec = longer.columns().column(core).get(self.next[core]);
         self.grown = Some(longer);
         match rec {
@@ -431,7 +429,8 @@ pub fn run_experiment(
 ///
 /// Panics if a [`TraceSource::Replay`] artifact was frozen from a
 /// different `(scaled spec, seed)` than this run requires, or is shorter
-/// than the run's trace length — either would silently change results.
+/// than the run's planned `frozen_len` — either would silently change
+/// results.
 pub fn run_experiment_with_source(
     design: Design,
     cache_bytes: u64,
@@ -447,52 +446,29 @@ pub fn run_experiment_with_source(
             drive(design, cache_bytes, spec, cfg, trace, plan.total)
         }
         TraceSource::Replay(artifact) => {
-            let columns = artifact_columns(artifact, &plan, spec, cfg);
+            assert_eq!(
+                artifact.key(),
+                artifact_key(&plan.scaled_spec, cfg.seed),
+                "trace artifact was frozen for a different (scaled spec, seed) than \
+                 this run of '{}' (seed {}, scale 1/{}) requires",
+                spec.name,
+                cfg.seed,
+                cfg.scale,
+            );
+            assert!(
+                artifact.len() as u64 >= plan.frozen_len,
+                "trace artifact for '{}' holds {} records but this run plans for {} \
+                 ({} consumed + read-ahead margin); the trace store must freeze \
+                 TracePlan::frozen_len",
+                spec.name,
+                artifact.len(),
+                plan.frozen_len,
+                plan.total,
+            );
+            let columns = ArtifactColumns::new(artifact, &plan.scaled_spec, cfg.seed, cores);
             drive(design, cache_bytes, spec, cfg, columns, plan.total)
         }
     }
-}
-
-/// Builds the column source for `artifact` after validating it against
-/// the run's trace `plan` — the shared entry point of
-/// [`run_experiment_with_source`] and the batched [`crate::CellSim`].
-///
-/// # Panics
-///
-/// Panics if the artifact was frozen from a different
-/// `(scaled spec, seed)` or is shorter than `plan.frozen_len` — either
-/// would silently change results.
-pub(crate) fn artifact_columns<'a>(
-    artifact: &'a TraceArtifact,
-    plan: &TracePlan,
-    spec: &WorkloadSpec,
-    cfg: &SimConfig,
-) -> ArtifactColumns<'a> {
-    assert_eq!(
-        artifact.key(),
-        artifact_key(&plan.scaled_spec, cfg.seed),
-        "trace artifact was frozen for a different (scaled spec, seed) than \
-         this run of '{}' (seed {}, scale 1/{}) requires",
-        spec.name,
-        cfg.seed,
-        cfg.scale,
-    );
-    assert!(
-        artifact.len() as u64 >= plan.frozen_len,
-        "trace artifact for '{}' holds {} records but this run plans for {} \
-         ({} consumed + read-ahead margin); the trace store must freeze \
-         TracePlan::frozen_len",
-        spec.name,
-        artifact.len(),
-        plan.frozen_len,
-        plan.total,
-    );
-    ArtifactColumns::new(
-        artifact,
-        plan.scaled_spec.clone(),
-        cfg.seed,
-        cfg.system.resolved_cores(spec) as usize,
-    )
 }
 
 /// The shared experiment body: both arms of [`run_experiment_with_source`]
@@ -602,41 +578,6 @@ fn drive_cache<C: DramCacheModel, S: RecordSource>(
     }
 }
 
-/// A value paired with the wall time producing it took, in nanoseconds.
-///
-/// The run-level timing hook: callers that account simulation cost
-/// (campaign telemetry, `bench-report`) get the measurement taken
-/// immediately around the simulation itself, under whatever clock they
-/// inject — timing never enters [`RunResult`], whose serialized form is
-/// pinned by golden fixtures and bit-identity guarantees.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Timed<T> {
-    /// The computed value.
-    pub value: T,
-    /// Wall time spent computing it.
-    pub wall_ns: u64,
-}
-
-/// [`run_experiment_with_source`] timed under an injected clock:
-/// `now_ns` is sampled immediately before and after the simulation
-/// (any monotonic nanosecond source — the harness passes its campaign
-/// clock, tests a deterministic counter).
-pub fn run_experiment_timed_with_source(
-    design: Design,
-    cache_bytes: u64,
-    spec: &WorkloadSpec,
-    cfg: &SimConfig,
-    source: TraceSource<'_>,
-    now_ns: &dyn Fn() -> u64,
-) -> Timed<RunResult> {
-    let start = now_ns();
-    let value = run_experiment_with_source(design, cache_bytes, spec, cfg, source);
-    Timed {
-        value,
-        wall_ns: now_ns().saturating_sub(start),
-    }
-}
-
 /// A design's result paired with its speedup over the no-cache baseline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SpeedupResult {
@@ -687,25 +628,6 @@ pub fn run_speedup_with_baseline_source(
     baseline: &RunResult,
     source: TraceSource<'_>,
 ) -> SpeedupResult {
-    check_baseline(baseline);
-    let run = run_experiment_with_source(design, cache_bytes, spec, cfg, source);
-    SpeedupResult {
-        speedup: run.uipc / baseline.uipc,
-        run,
-    }
-}
-
-/// Asserts `baseline` is usable as a speedup denominator — the single
-/// definition of "degenerate baseline" shared by
-/// [`run_speedup_with_baseline_source`] and the batched
-/// [`crate::CellSim`] path.
-///
-/// # Panics
-///
-/// Panics if `baseline.uipc` is zero, negative, or non-finite: dividing
-/// by a degenerate baseline would silently turn every speedup into
-/// `inf`/`NaN` and poison downstream geomeans.
-pub fn check_baseline(baseline: &RunResult) {
     assert!(
         baseline.uipc.is_finite() && baseline.uipc > 0.0,
         "degenerate NoCache baseline for '{}' (uipc = {}): speedups against it would be \
@@ -713,6 +635,11 @@ pub fn check_baseline(baseline: &RunResult) {
         baseline.workload,
         baseline.uipc,
     );
+    let run = run_experiment_with_source(design, cache_bytes, spec, cfg, source);
+    SpeedupResult {
+        speedup: run.uipc / baseline.uipc,
+        run,
+    }
 }
 
 /// Runs `design` and the no-cache baseline under identical conditions
@@ -761,36 +688,6 @@ mod tests {
         assert_eq!(Design::from_name("UNISON"), Some(Design::Unison));
         assert_eq!(Design::from_name("bogus"), None);
         assert_eq!(Design::from_name("unison-0way"), None, "0 ways is invalid");
-    }
-
-    #[test]
-    fn timed_run_measures_under_the_injected_clock_without_changing_results() {
-        use std::cell::Cell;
-        let cfg = SimConfig::quick_test();
-        let spec = workloads::web_search();
-        // A deterministic clock: each sample advances 1 ms.
-        let ticks = Cell::new(0u64);
-        let now = || {
-            let t = ticks.get();
-            ticks.set(t + 1_000_000);
-            t
-        };
-        let timed = run_experiment_timed_with_source(
-            Design::Ideal,
-            256 << 20,
-            &spec,
-            &cfg,
-            TraceSource::Live,
-            &now,
-        );
-        assert_eq!(timed.wall_ns, 1_000_000, "exactly two clock samples");
-        let plain =
-            run_experiment_with_source(Design::Ideal, 256 << 20, &spec, &cfg, TraceSource::Live);
-        assert_eq!(
-            serde_json::to_string(&timed.value).unwrap(),
-            serde_json::to_string(&plain).unwrap(),
-            "timing must never perturb the simulation result"
-        );
     }
 
     #[test]

@@ -388,8 +388,8 @@ impl<C: DramCacheModel> System<C> {
     /// Consumes up to `limit` further records from `session`, leaving it
     /// ready to continue from exactly where this call stopped. Driving
     /// one session through many small budgets is bit-identical to one
-    /// call with the summed budget — the stepping primitive batched
-    /// multi-cell simulation interleaves cells with.
+    /// call with the summed budget; the experiment runner makes one call
+    /// per phase, with [`DispatchSession::next_phase`] between them.
     ///
     /// Selection keeps each core's head-of-line `(issue time, core)` key
     /// in a flat array and takes its minimum — lowest issue time, then
@@ -761,10 +761,7 @@ mod tests {
             Feed::Columns(n) => {
                 artifact = unison_trace::TraceArtifact::freeze(&spec, seed, n);
                 Box::new(crate::runner::ArtifactColumns::new(
-                    &artifact,
-                    spec.clone(),
-                    seed,
-                    cores,
+                    &artifact, &spec, seed, cores,
                 ))
             }
         };
