@@ -5,12 +5,16 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use unison_core::meta::reference::NaiveStore;
 use unison_core::{
-    AlloyCache, AlloyConfig, DramCacheModel, FootprintCache, FootprintConfig, MemPorts, MetaStore,
-    NoCache, PageMeta, Replacement, Request, UnisonCache, UnisonConfig,
+    AccessOutcome, AlloyCache, AlloyConfig, CacheAccess, CacheStats, DramCacheModel,
+    FootprintCache, FootprintConfig, MemPorts, MetaStore, NoCache, PageMeta, Replacement, Request,
+    UnisonCache, UnisonConfig,
 };
-use unison_dram::{DramConfig, DramModel, Location, Op, RouteMap, RowCol};
+use unison_dram::{DramConfig, DramModel, Location, Op, Ps, RouteMap, RowCol};
 use unison_predictors::{Footprint, FootprintTable, MissPredictor, WayPredictor};
-use unison_sim::{run_experiment_with_source, Design, SimConfig, System, TraceSource};
+use unison_sim::{
+    run_experiment_with_source, ArtifactColumns, Design, DispatchSession, SimConfig, System,
+    TraceSource,
+};
 use unison_trace::{workloads, TraceArtifact, WorkloadGen};
 
 fn bench_predictors(c: &mut Criterion) {
@@ -398,23 +402,79 @@ fn bench_tracegen(c: &mut Criterion) {
     g.finish();
 }
 
-/// One NoCache experiment (warmup, then measurement) over one frozen
-/// artifact, fed two ways: the dispatch loop reading the artifact's
-/// per-core columns in place (the runner's replay path) against the same
-/// loop de-interleaving `artifact.replay()` through `Buffered` rings (the
-/// `System::run(&mut iter)` path). Both simulate the same records in the
-/// same order; the difference is the cost of buffering.
+/// A cache that answers every access at once, so a run over it times
+/// the dispatch layer alone: core selection, record decode and the core
+/// clocks.
+#[derive(Default)]
+struct ZeroLatency {
+    stats: CacheStats,
+}
+
+impl DramCacheModel for ZeroLatency {
+    fn name(&self) -> &'static str {
+        "ZeroLatency"
+    }
+
+    fn capacity_bytes(&self) -> u64 {
+        0
+    }
+
+    fn access(&mut self, now: Ps, _req: &Request, _mem: &mut MemPorts) -> CacheAccess {
+        self.stats.accesses += 1;
+        CacheAccess {
+            outcome: AccessOutcome::Hit,
+            critical_ps: now,
+            done_ps: now,
+        }
+    }
+
+    fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
+    }
+}
+
+/// One 16-core experiment (warmup, then measurement) over one frozen
+/// TPC-H artifact. `zero_latency_columns` runs the dispatch loop over
+/// the artifact's per-core columns (the runner's replay path) against a
+/// cache that costs nothing, so its time is the selection-plus-decode
+/// path alone. The two NoCache runs add the off-chip DRAM model, fed
+/// from the columns or by de-interleaving `artifact.replay()` through
+/// `Buffered` rings (the `System::run(&mut iter)` path); they simulate
+/// the same records in the same order, so their difference is the cost
+/// of buffering.
 fn bench_dispatch(c: &mut Criterion) {
     let cfg = SimConfig {
         accesses: 200_000,
         ..SimConfig::quick_test()
     };
     let spec = workloads::tpch();
+    let cores = cfg.system.resolved_cores(&spec) as usize;
+    assert_eq!(cores, 16, "the paper's pod");
     let plan = cfg.trace_plan(&spec, 0);
     let artifact = TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
     let warmup = (plan.total as f64 * cfg.warmup_fraction) as u64;
     let mut g = c.benchmark_group("dispatch");
     g.throughput(Throughput::Elements(plan.total));
+    g.bench_function("zero_latency_columns", |b| {
+        b.iter(|| {
+            let mut sys = System::new(
+                cores,
+                ZeroLatency::default(),
+                cfg.system.mem_ports(),
+                cfg.system.core,
+            );
+            let columns = ArtifactColumns::new(&artifact, &plan.scaled_spec, cfg.seed, cores);
+            let mut session = DispatchSession::new(columns);
+            sys.run_session(&mut session, warmup);
+            session.next_phase();
+            sys.run_session(&mut session, plan.total - warmup);
+            black_box(sys.progress())
+        });
+    });
     g.bench_function("nocache_columns", |b| {
         b.iter(|| {
             black_box(run_experiment_with_source(
@@ -428,7 +488,6 @@ fn bench_dispatch(c: &mut Criterion) {
     });
     g.bench_function("nocache_buffered_iterator", |b| {
         b.iter(|| {
-            let cores = cfg.system.resolved_cores(&spec) as usize;
             let mut sys = System::new(
                 cores,
                 NoCache::new(),

@@ -63,8 +63,10 @@ pub fn from_value<T: Deserialize>(v: &Value) -> Result<T, Error> {
 /// offset) or trailing non-whitespace input.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -75,9 +77,16 @@ pub fn parse(s: &str) -> Result<Value, Error> {
     Ok(v)
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts, as in real
+/// serde_json: deeper input is an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -119,11 +128,23 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than the recursion limit"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -225,13 +246,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // byte boundaries are valid; copy the whole scalar).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a
+                    // char boundary of the input `&str`.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = self.text.get(start..self.pos);
+                    out.push_str(run.ok_or_else(|| self.err("invalid utf-8"))?);
                 }
             }
         }
@@ -242,7 +265,10 @@ impl Parser<'_> {
         let Some(digits) = self.bytes.get(self.pos..end) else {
             return Err(self.err("truncated \\u escape"));
         };
-        let s = std::str::from_utf8(digits).map_err(|_| self.err("invalid \\u escape"))?;
+        let s = std::str::from_utf8(digits)
+            .ok()
+            .filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(v)
@@ -445,6 +471,7 @@ mod tests {
             Value::Str("\u{1F600}".into())
         );
         assert!(parse("\"\\ud83d\"").is_err(), "unpaired surrogate");
+        assert!(parse("\"\\u+041\"").is_err(), "sign in a \\u escape");
         // Raw multi-byte UTF-8 passes through.
         assert_eq!(parse("\"héllo\"").unwrap(), Value::Str("héllo".into()));
     }
@@ -485,6 +512,126 @@ mod tests {
         ]);
         for rendered in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
             assert_eq!(parse(&rendered).unwrap(), v, "via {rendered}");
+        }
+    }
+
+    /// String parsing is linear: a 4 MB string (ASCII runs, multi-byte
+    /// scalars and escapes) parses in one pass over the input.
+    #[test]
+    fn parses_a_four_megabyte_string() {
+        let unit = "sweep cell Web Search é 😀 \\n \\u0041 \\\" ";
+        let want_unit = "sweep cell Web Search é 😀 \n A \" ";
+        let reps = (4 << 20) / unit.len();
+        let doc = format!("\"{}\"", unit.repeat(reps));
+        assert!(doc.len() > (4 << 20) - unit.len());
+        assert_eq!(parse(&doc).unwrap(), Value::Str(want_unit.repeat(reps)));
+    }
+
+    /// Nesting past [`MAX_DEPTH`] is an error, not a stack overflow.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH, "{\"k\":[", "]}")).is_err());
+        assert!(parse(&nest(MAX_DEPTH / 2, "{\"k\":[", "]}")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1, "[", "]")).is_err());
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+        // The depth unwinds: siblings at the limit are fine.
+        let two = format!(
+            "[{},{}]",
+            nest(MAX_DEPTH - 1, "[", "]"),
+            nest(MAX_DEPTH - 1, "[", "]")
+        );
+        assert!(parse(&two).is_ok());
+    }
+
+    /// A document touching every token kind, shaped like a sweep's
+    /// `{summary, cells}` output.
+    fn corpus() -> Value {
+        let cell = |name: &str, x: f64| {
+            Value::Obj(vec![
+                ("design".into(), Value::Str(name.into())),
+                (
+                    "workload".into(),
+                    Value::Str("Web Search \"é\" 😀\n\u{1}".into()),
+                ),
+                ("cache_bytes".into(), Value::U64(u64::MAX)),
+                ("delta".into(), Value::I64(-42)),
+                ("speedup".into(), Value::F64(x)),
+                ("neg_zero".into(), Value::F64(-0.0)),
+                ("tiny".into(), Value::F64(1.5e-7)),
+                (
+                    "flags".into(),
+                    Value::Arr(vec![Value::Bool(true), Value::Bool(false), Value::Null]),
+                ),
+                (
+                    "empty".into(),
+                    Value::Obj(vec![("a".into(), Value::Arr(vec![]))]),
+                ),
+            ])
+        };
+        Value::Obj(vec![
+            (
+                "summary".into(),
+                Value::Obj(vec![("cells".into(), Value::U64(2))]),
+            ),
+            (
+                "cells".into(),
+                Value::Arr(vec![cell("Unison", 1.25), cell("Alloy", 0.875)]),
+            ),
+        ])
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Every proper prefix of a document is an error (its closing
+        /// brace is missing), and a document with random characters
+        /// replaced, inserted or deleted either errors or parses to a
+        /// value whose rendering parses back to the same rendering.
+        /// Neither case may panic.
+        #[test]
+        fn truncated_and_mutated_documents_never_panic(
+            pretty in any::<bool>(),
+            cut in any::<u64>(),
+            edits in proptest::collection::vec((any::<u64>(), 0u8..3, 0usize..24), 1..8),
+        ) {
+            let v = corpus();
+            let doc = if pretty { to_string_pretty(&v) } else { to_string(&v) }.unwrap();
+            prop_assert_eq!(parse(&doc).unwrap(), v.clone());
+
+            let chars: Vec<char> = doc.chars().collect();
+            let cut = (cut % chars.len() as u64) as usize;
+            let prefix: String = chars[..cut].iter().collect();
+            prop_assert!(parse(&prefix).is_err(), "prefix of {} chars parsed", cut);
+
+            const ALPHABET: [char; 24] = [
+                '{', '}', '[', ']', '"', '\\', ',', ':', '-', '+', '.', 'e', '0', '9', 'u', 'n',
+                't', 'f', ' ', '\n', 'é', '😀', '\u{0}', 'x',
+            ];
+            let mut mutated = chars;
+            for (at, op, pick) in edits {
+                let at = (at % (mutated.len() as u64 + 1)) as usize;
+                let c = ALPHABET[pick];
+                match op {
+                    0 if at < mutated.len() => mutated[at] = c,
+                    1 if at < mutated.len() => {
+                        mutated.remove(at);
+                    }
+                    _ => mutated.insert(at, c),
+                }
+            }
+            let mutated: String = mutated.into_iter().collect();
+            if let Ok(parsed) = parse(&mutated) {
+                // Rendering is a fixed point (a non-finite float renders
+                // as `null`, so compare renderings, not values).
+                let rendered = to_string(&parsed).unwrap();
+                let again = to_string(&parse(&rendered).unwrap()).unwrap();
+                prop_assert_eq!(again, rendered, "round trip of {:?}", mutated);
+            }
         }
     }
 

@@ -44,8 +44,8 @@ pub use core_model::CoreParams;
 pub use metrics::RunResult;
 pub use runner::{
     replay_lookahead, run_baseline, run_experiment, run_experiment_with_source, run_speedup,
-    run_speedup_with_baseline, run_speedup_with_baseline_source, Design, SimConfig, SpeedupResult,
-    TracePlan, TraceSource,
+    run_speedup_with_baseline, run_speedup_with_baseline_source, ArtifactColumns, Design,
+    SimConfig, SpeedupResult, TracePlan, TraceSource,
 };
 pub use scenario::{scenarios_from_json, Scenario, SystemSpec};
 pub use system::{Buffered, DispatchSession, RecordSource, System};

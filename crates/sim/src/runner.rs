@@ -9,7 +9,7 @@ use unison_trace::{artifact_key, TraceArtifact, TraceRecord, WorkloadGen, Worklo
 
 use crate::metrics::RunResult;
 use crate::scenario::SystemSpec;
-use crate::system::{Buffered, DispatchSession, RecordSource, System};
+use crate::system::{Buffered, DispatchSession, RecordSource, System, FILLER};
 
 /// The cache designs the experiments compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -317,23 +317,35 @@ pub enum TraceSource<'a> {
     Replay(&'a TraceArtifact),
 }
 
+/// Records [`ArtifactColumns`] decodes from a column at a time. Sixteen
+/// records span about six 64 B lines whose misses overlap; 32 measured
+/// no faster on a dispatch-only cell and 8 a little slower (see the
+/// README's dispatch section).
+const BURST: usize = 16;
+
 /// A frozen artifact's per-core columns as a [`RecordSource`], with a
 /// growth safety net.
 ///
-/// The hot path reads core `c`'s next record straight off its column.
-/// Only if a column runs dry (the warmup-boundary drop ate past the
-/// artifact's provisioned margin) does the cold path re-freeze a longer
-/// prefix extension of the same `(spec, seed)`; every column of the
-/// longer artifact extends the shorter one's, so each core's cursor
+/// The hot path hands out core `c`'s next record from a small per-core
+/// buffer, which is refilled [`BURST`] records at a time straight off the
+/// core's column. Only if a column runs dry (the warmup-boundary drop ate
+/// past the artifact's provisioned margin) does the cold path re-freeze a
+/// longer prefix extension of the same `(spec, seed)`; every column of
+/// the longer artifact extends the shorter one's, so each core's cursor
 /// stays valid and results stay bit-identical to live generation no
 /// matter how far the run reads.
-pub(crate) struct ArtifactColumns<'a> {
+pub struct ArtifactColumns<'a> {
     base: &'a TraceArtifact,
     grown: Option<TraceArtifact>,
     scaled_spec: &'a WorkloadSpec,
     seed: u64,
-    /// Records taken from each core's column so far.
+    /// Records handed out from each core's column so far.
     next: Vec<usize>,
+    /// Core `c`'s decoded records wait in `burst[c * BURST..][..filled[c]]`;
+    /// `taken[c]` of them have been handed out.
+    burst: Vec<TraceRecord>,
+    taken: Vec<u32>,
+    filled: Vec<u32>,
     /// Whether some column ran dry with no extension to fill it.
     dry: bool,
 }
@@ -346,7 +358,7 @@ impl<'a> ArtifactColumns<'a> {
     ///
     /// Panics if the artifact has more columns than the system has
     /// cores: its extra cores' records would have no core to run on.
-    pub(crate) fn new(
+    pub fn new(
         artifact: &'a TraceArtifact,
         scaled_spec: &'a WorkloadSpec,
         seed: u64,
@@ -363,49 +375,60 @@ impl<'a> ArtifactColumns<'a> {
             scaled_spec,
             seed,
             next: vec![0; cores],
+            burst: vec![FILLER; cores * BURST],
+            taken: vec![0; cores],
+            filled: vec![0; cores],
             dry: false,
         }
     }
 
-    #[inline]
-    fn artifact(&self) -> &TraceArtifact {
-        self.grown.as_ref().unwrap_or(self.base)
-    }
-
-    #[cold]
+    /// Refills `core`'s buffer from its column and takes the first
+    /// record, growing the artifact if the column has none left. Out of
+    /// line, so the per-record path that inlines into the dispatch loop
+    /// stays a compare and a load.
     #[inline(never)]
-    fn grow_and_take(&mut self, core: usize) -> Option<TraceRecord> {
-        let len = self.artifact().len() as u64;
-        let longer = TraceArtifact::freeze(self.scaled_spec, self.seed, 2 * len + 1024);
-        let rec = longer.columns().column(core).get(self.next[core]);
-        self.grown = Some(longer);
-        match rec {
-            Some(_) => self.next[core] += 1,
-            // The core issues nothing even in a doubled trace; treat the
-            // stream as ended for it.
-            None => self.dry = true,
+    fn refill_and_take(&mut self, core: usize) -> Option<TraceRecord> {
+        let at = self.next[core];
+        let slots = &mut self.burst[core * BURST..][..BURST];
+        let artifact = self.grown.as_ref().unwrap_or(self.base);
+        let mut n = artifact.columns().column(core).decode_into(at, slots);
+        if n == 0 {
+            let len = artifact.len() as u64;
+            let longer = TraceArtifact::freeze(self.scaled_spec, self.seed, 2 * len + 1024);
+            n = longer.columns().column(core).decode_into(at, slots);
+            self.grown = Some(longer);
+            if n == 0 {
+                // The core issues nothing even in a doubled trace; treat
+                // the stream as ended for it.
+                self.dry = true;
+                return None;
+            }
         }
-        rec
+        self.next[core] = at + 1;
+        self.taken[core] = 1;
+        self.filled[core] = n as u32;
+        Some(slots[0])
     }
 }
 
 impl RecordSource for ArtifactColumns<'_> {
     #[inline]
     fn next_record(&mut self, core: usize) -> Option<TraceRecord> {
-        let i = self.next[core];
-        match self.artifact().columns().column(core).get(i) {
-            Some(r) => {
-                self.next[core] = i + 1;
-                Some(r)
-            }
-            None => self.grow_and_take(core),
+        let i = self.taken[core];
+        if i < self.filled[core] {
+            self.taken[core] = i + 1;
+            self.next[core] += 1;
+            return Some(self.burst[core * BURST + i as usize]);
         }
+        self.refill_and_take(core)
     }
 
     fn skip_to_stream_position(&mut self) {
         let columns = self.grown.as_ref().unwrap_or(self.base).columns();
         columns.skip_to_stream_position(&mut self.next, self.dry);
         self.dry = false;
+        // The buffered records follow the old cursors.
+        self.filled.fill(0);
     }
 }
 
@@ -817,6 +840,86 @@ mod tests {
             serde_json::to_string(&replayed).unwrap(),
             "replay must reproduce live generation bit for bit"
         );
+    }
+
+    /// The pre-burst source, kept as the oracle for [`ArtifactColumns`]:
+    /// one [`unison_trace::codec::Column::get`] per record, with the same
+    /// growth and stream-position rules.
+    struct DirectColumns<'a> {
+        current: std::borrow::Cow<'a, TraceArtifact>,
+        spec: &'a WorkloadSpec,
+        seed: u64,
+        next: Vec<usize>,
+        dry: bool,
+    }
+
+    impl DirectColumns<'_> {
+        fn take(&mut self, core: usize) -> Option<TraceRecord> {
+            let i = self.next[core];
+            let mut rec = self.current.columns().column(core).get(i);
+            if rec.is_none() {
+                let len = 2 * self.current.len() as u64 + 1024;
+                let longer = TraceArtifact::freeze(self.spec, self.seed, len);
+                rec = longer.columns().column(core).get(i);
+                self.current = std::borrow::Cow::Owned(longer);
+            }
+            match rec {
+                Some(_) => self.next[core] += 1,
+                None => self.dry = true,
+            }
+            rec
+        }
+
+        fn skip(&mut self) {
+            let columns = self.current.columns();
+            columns.skip_to_stream_position(&mut self.next, self.dry);
+            self.dry = false;
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Burst decoding is invisible: under a random sequence of
+        /// per-core requests and phase boundaries, over artifacts short
+        /// enough that columns run dry and grow, [`ArtifactColumns`]
+        /// hands out exactly the records direct per-record reads do.
+        #[test]
+        fn burst_columns_hand_out_the_direct_reads(
+            cores in prop_oneof![Just(1usize), Just(3), Just(16), 1usize..=17],
+            seed in any::<u64>(),
+            len in 0u64..1_500,
+            ops in proptest::collection::vec(0usize..64, 1..3_000),
+        ) {
+            let mut spec = workloads::web_serving().scaled(64);
+            spec.cores = cores as u32;
+            let artifact = TraceArtifact::freeze(&spec, seed, len);
+            let mut burst = ArtifactColumns::new(&artifact, &spec, seed, cores);
+            let mut direct = DirectColumns {
+                current: std::borrow::Cow::Borrowed(&artifact),
+                spec: &spec,
+                seed,
+                next: vec![0; cores],
+                dry: false,
+            };
+            for (step, &op) in ops.iter().enumerate() {
+                // One op in 64 ends a phase; the rest ask a core for its
+                // next record.
+                if op == 0 {
+                    burst.skip_to_stream_position();
+                    direct.skip();
+                } else {
+                    let core = op % cores;
+                    prop_assert_eq!(
+                        burst.next_record(core),
+                        direct.take(core),
+                        "step {} core {}",
+                        step,
+                        core
+                    );
+                }
+            }
+        }
     }
 
     #[test]

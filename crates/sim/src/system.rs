@@ -33,9 +33,10 @@ pub struct Progress {
 ///
 /// The loop asks for records core by core, each in that core's program
 /// order, and never looks at the global interleave itself. Two sources
-/// exist: a frozen artifact's per-core columns (the runner's replay path,
-/// which reads them in place) and [`Buffered`], which de-interleaves any
-/// global-order iterator through per-core ring buffers.
+/// exist: [`crate::ArtifactColumns`], which decodes a frozen artifact's
+/// per-core columns in short bursts (the runner's replay path), and
+/// [`Buffered`], which de-interleaves any global-order iterator through
+/// per-core ring buffers.
 pub trait RecordSource {
     /// The next record of `core`, or `None` once it has no more.
     fn next_record(&mut self, core: usize) -> Option<TraceRecord>;
@@ -48,14 +49,14 @@ pub trait RecordSource {
 }
 
 /// Persistent dispatch state for a run consumed in record-budget
-/// increments: the record source plus each core's head-of-line record
-/// and its issue time.
+/// increments: the record source, each core's head-of-line record, and
+/// a winner tree over their issue times.
 ///
 /// Stepping a session through N budget increments with
 /// [`System::run_session`] is **bit-identical** to one call with the
-/// summed budget: all selection state lives in the flat per-core arrays,
-/// so a budget boundary is just a place the loop stops and restarts its
-/// minimum scan (pinned by `session_stepping_matches_single_run`).
+/// summed budget: all selection state lives in the session's tree, so a
+/// budget boundary is just a place the loop stops and later reads the
+/// root again (pinned by `session_stepping_matches_single_run`).
 ///
 /// # The warmup-boundary record drop
 ///
@@ -74,13 +75,12 @@ pub trait RecordSource {
 #[derive(Debug)]
 pub struct DispatchSession<S> {
     source: S,
-    /// Each core's head-of-line record (meaningful where `keys` is not
-    /// [`IDLE`]).
+    /// Each core's head-of-line record (meaningful where the core's leaf
+    /// in `tree` is not [`IDLE`]).
     heads: Vec<TraceRecord>,
-    /// Selection key of each core's head-of-line record (see
-    /// [`DispatchKeys`]); [`IDLE`] for a core with none, and for the core
-    /// being consumed inside the loop.
-    keys: Vec<u64>,
+    /// Selection keys (see [`DispatchKeys`]) of the head-of-line records;
+    /// its root is the next record to dispatch.
+    tree: WinnerTree,
     primed: bool,
 }
 
@@ -94,7 +94,7 @@ impl<S: RecordSource> DispatchSession<S> {
         DispatchSession {
             source,
             heads: Vec::new(),
-            keys: Vec::new(),
+            tree: WinnerTree::default(),
             primed: false,
         }
     }
@@ -111,8 +111,8 @@ impl<S: RecordSource> DispatchSession<S> {
 
 /// Packs `(issue time, core)` into one `u64` whose plain ordering is the
 /// dispatch order: lowest issue time first, lowest core on ties. The
-/// core sits in the low `bits` bits, so the argmin over all cores is a
-/// plain `min` reduction that vectorizes.
+/// core sits in the low `bits` bits, so keys are unique and one `min`
+/// compares both fields.
 #[derive(Debug, Clone, Copy)]
 struct DispatchKeys {
     bits: u32,
@@ -150,10 +150,51 @@ impl DispatchKeys {
     }
 }
 
-/// The smallest key.
-#[inline]
-fn min_key(keys: &[u64]) -> u64 {
-    keys.iter().copied().fold(IDLE, u64::min)
+/// A winner tree over one key per core: the leaves, padded with [`IDLE`]
+/// to a power of two, sit at `nodes[leaves..]`, and every inner node
+/// holds the smaller of its two children, so the root `nodes[1]` is the
+/// smallest key. Changing one leaf recomputes only its log2(leaves)
+/// ancestors.
+#[derive(Debug, Default)]
+struct WinnerTree {
+    /// `2 * leaves` slots; slot 0 is unused.
+    nodes: Vec<u64>,
+    leaves: usize,
+}
+
+impl WinnerTree {
+    /// Rebuilds the tree over `keys`, one per core.
+    fn rebuild(&mut self, keys: impl ExactSizeIterator<Item = u64>) {
+        self.leaves = keys.len().next_power_of_two();
+        self.nodes.clear();
+        self.nodes.resize(self.leaves, IDLE);
+        self.nodes.extend(keys);
+        self.nodes.resize(2 * self.leaves, IDLE);
+        for i in (1..self.leaves).rev() {
+            self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+        }
+    }
+
+    /// The smallest key ([`IDLE`] when every leaf is).
+    #[inline]
+    fn min(&self) -> u64 {
+        self.nodes[1]
+    }
+
+    /// Sets `leaf`'s key and replays its path to the root. The running
+    /// minimum of the subtree climbed so far is the path node's value,
+    /// so each level reads only the sibling.
+    #[inline]
+    fn set(&mut self, leaf: usize, key: u64) {
+        let mut i = self.leaves + leaf;
+        let mut min = key;
+        self.nodes[i] = key;
+        while i > 1 {
+            min = min.min(self.nodes[i ^ 1]);
+            i >>= 1;
+            self.nodes[i] = min;
+        }
+    }
 }
 
 /// Initial per-core ring capacity, log2 (16 records). Refill is
@@ -315,7 +356,7 @@ impl CoreSlab {
 }
 
 /// Slot filler for unoccupied record slots; never dispatched.
-const FILLER: TraceRecord = TraceRecord {
+pub(crate) const FILLER: TraceRecord = TraceRecord {
     core: 0,
     kind: AccessKind::Read,
     pc: 0,
@@ -391,13 +432,13 @@ impl<C: DramCacheModel> System<C> {
     /// call with the summed budget; the experiment runner makes one call
     /// per phase, with [`DispatchSession::next_phase`] between them.
     ///
-    /// Selection keeps each core's head-of-line `(issue time, core)` key
-    /// in a flat array and takes its minimum — lowest issue time, then
-    /// lowest core, the order a heap of `(issue, core)` pairs pops in.
-    /// The loop stays on the selected core while its next record still
-    /// sorts before the runner-up (the minimum over the other cores,
-    /// which cannot change meanwhile), so a switch costs one scan and a
-    /// run of records on one core costs none.
+    /// Selection reads the root of the session's winner tree over each
+    /// core's head-of-line `(issue time, core)` key: lowest issue time,
+    /// then lowest core, the order a heap of `(issue, core)` pairs pops
+    /// in. After a record is dispatched its core's leaf takes the key of
+    /// the core's next record (or [`IDLE`]), which costs log2(cores)
+    /// sibling reads whether or not the next record comes from the same
+    /// core.
     pub fn run_session<S: RecordSource>(
         &mut self,
         session: &mut DispatchSession<S>,
@@ -407,7 +448,7 @@ impl<C: DramCacheModel> System<C> {
         let DispatchSession {
             source,
             heads,
-            keys,
+            tree,
             primed,
         } = session;
         let packing = DispatchKeys::new(n_cores);
@@ -415,29 +456,24 @@ impl<C: DramCacheModel> System<C> {
         if !*primed {
             heads.clear();
             heads.resize(n_cores, FILLER);
-            keys.clear();
-            keys.resize(n_cores, IDLE);
-            for c in 0..n_cores {
-                if let Some(r) = source.next_record(c) {
-                    let t = self.cores[c].time_ps + self.gap.compute_ps(r.igap);
-                    keys[c] = packing.pack(t, c);
+            let keys = (0..n_cores).map(|c| match source.next_record(c) {
+                Some(r) => {
                     heads[c] = r;
+                    packing.pack(self.cores[c].time_ps + self.gap.compute_ps(r.igap), c)
                 }
-            }
+                None => IDLE,
+            });
+            tree.rebuild(keys);
             *primed = true;
         }
 
         let mut consumed = 0u64;
-        let first = min_key(keys);
-        if limit == 0 || first == IDLE {
-            return 0;
-        }
-        let (mut t, mut c) = (packing.time(first), packing.core(first));
-        // The active core's slot reads IDLE, so the minimum of `keys` is
-        // the runner-up among the other cores.
-        keys[c] = IDLE;
-        let mut runner_up = min_key(keys);
-        loop {
+        while consumed < limit {
+            let key = tree.min();
+            if key == IDLE {
+                break;
+            }
+            let (t, c) = (packing.time(key), packing.core(key));
             let rec = heads[c];
             // `t` was derived from this exact (clock, record) pair, so
             // the clock advances to it directly.
@@ -454,30 +490,14 @@ impl<C: DramCacheModel> System<C> {
             }
             consumed += 1;
 
-            if let Some(r) = source.next_record(c) {
-                let next_t = self.cores[c].time_ps + self.gap.compute_ps(r.igap);
-                let key = packing.pack(next_t, c);
-                heads[c] = r;
-                if consumed >= limit {
-                    keys[c] = key;
-                    break;
+            let next = match source.next_record(c) {
+                Some(r) => {
+                    heads[c] = r;
+                    packing.pack(self.cores[c].time_ps + self.gap.compute_ps(r.igap), c)
                 }
-                if key < runner_up {
-                    t = next_t;
-                    continue;
-                }
-                keys[c] = key;
-            } else if consumed >= limit {
-                break;
-            }
-            // Hand over to the runner-up (`c` keeps its new key, or stays
-            // IDLE once its records ran out).
-            if runner_up == IDLE {
-                break;
-            }
-            (t, c) = (packing.time(runner_up), packing.core(runner_up));
-            keys[c] = IDLE;
-            runner_up = min_key(keys);
+                None => IDLE,
+            };
+            tree.set(c, next);
         }
         consumed
     }
@@ -562,7 +582,7 @@ mod tests {
 
     /// The original dispatch loop: `VecDeque` per-core buffers and one
     /// `(issue, core)` heap push + pop per record. Kept as the oracle the
-    /// argmin loop must match.
+    /// tree loop must match.
     fn run_reference<C: DramCacheModel, I: Iterator<Item = TraceRecord>>(
         sys: &mut System<C>,
         trace: &mut I,
@@ -655,12 +675,12 @@ mod tests {
         )
     }
 
-    /// The argmin loop must be indistinguishable from the heap reference
+    /// The tree loop must be indistinguishable from the heap reference
     /// — same consumed counts, same core clocks, same cache statistics —
     /// including across a warmup-style split where leftover buffered
     /// records are dropped between calls.
     #[test]
-    fn argmin_dispatch_matches_reference_loop() {
+    fn tree_dispatch_matches_reference_loop() {
         for seed in [1u64, 7, 42] {
             let spec = workloads::web_serving();
             let mut fast = ideal_system(16);
@@ -721,7 +741,7 @@ mod tests {
         }
     }
 
-    /// How the race below feeds the argmin loop.
+    /// How the race below feeds the tree loop.
     #[derive(Debug, Clone, Copy)]
     enum Feed {
         /// Live generation through [`Buffered`].
@@ -733,8 +753,12 @@ mod tests {
     }
 
     /// Races one experiment-shaped run (warmup, boundary, measurement)
-    /// of the argmin loop, stepped with ragged budgets, against the heap
-    /// reference over the same trace.
+    /// of the tree loop, stepped with ragged budgets, against the heap
+    /// reference over the same trace. With `ties`, every record is a
+    /// store (stores do not stall) and every gap takes exactly one cycle
+    /// (the IPC exceeds any gap), so all cores issue at the same times
+    /// and every pick is decided by the lowest-core tie-break.
+    #[allow(clippy::too_many_arguments)]
     fn race<C: DramCacheModel>(
         make: impl Fn() -> C,
         cores: usize,
@@ -742,10 +766,15 @@ mod tests {
         feed: Feed,
         phases: [u64; 2],
         budgets: &[u64],
-        params: CoreParams,
+        mut params: CoreParams,
+        ties: bool,
     ) {
         let mut spec = workloads::web_serving().scaled(64);
         spec.cores = cores as u32;
+        if ties {
+            spec.write_fraction = 1.0;
+            params.ipc_base = f64::from(1u32 << 31);
+        }
         let live = || WorkloadGen::new(spec.clone(), seed);
         let mut fast = System::new(cores, make(), MemPorts::paper_default(), params);
         let mut slow = System::new(cores, make(), MemPorts::paper_default(), params);
@@ -808,14 +837,15 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The bit-identity race: for random core counts, seeds, phase
-        /// lengths, ragged step budgets and every record source — live,
-        /// finite, and frozen columns that may run dry — the argmin loop
+        /// The bit-identity race: for random core counts (padded tree
+        /// leaves included), seeds, phase lengths, ragged step budgets,
+        /// forced issue-time ties and every record source — live,
+        /// finite, and frozen columns that may run dry — the tree loop
         /// leaves every clock, the cache statistics and both DRAM
         /// devices' statistics exactly as the heap reference does.
         #[test]
-        fn argmin_loop_races_the_heap_reference(
-            cores in 1usize..=64,
+        fn tree_loop_races_the_heap_reference(
+            cores in prop_oneof![Just(1usize), Just(3), Just(5), Just(16), Just(17), 1usize..=64],
             seed in any::<u64>(),
             warmup in prop_oneof![Just(0u64), 1u64..3_000],
             measure in 1u64..3_000,
@@ -824,6 +854,7 @@ mod tests {
             len in 0u64..5_000,
             nocache in any::<bool>(),
             odd_ipc in any::<bool>(),
+            ties in any::<bool>(),
         ) {
             let feed = match feed {
                 0 => Feed::Live,
@@ -837,9 +868,10 @@ mod tests {
                 ..CoreParams::default()
             };
             if nocache {
-                race(NoCache::new, cores, seed, feed, phases, &budgets, params);
+                race(NoCache::new, cores, seed, feed, phases, &budgets, params, ties);
             } else {
-                race(|| IdealCache::new(1 << 22), cores, seed, feed, phases, &budgets, params);
+                let ideal = || IdealCache::new(1 << 22);
+                race(ideal, cores, seed, feed, phases, &budgets, params, ties);
             }
         }
     }

@@ -410,6 +410,25 @@ impl Column<'_> {
         let rec = self.bytes.get(i * COLUMN_RECORD_BYTES..)?.first_chunk()?;
         Some(read_record(self.core, rec))
     }
+
+    /// Decodes the column's records from index `start` on into `out`, as
+    /// many as fit or as the column has left, and returns how many it
+    /// wrote. Decoding a run of records in one go lets the loads of
+    /// their cache lines overlap, where [`Self::get`] per record waits
+    /// on each line in turn.
+    #[inline]
+    pub fn decode_into(&self, start: usize, out: &mut [TraceRecord]) -> usize {
+        let rest = start
+            .checked_mul(COLUMN_RECORD_BYTES)
+            .and_then(|at| self.bytes.get(at..))
+            .unwrap_or(&[]);
+        let mut n = 0;
+        for (slot, rec) in out.iter_mut().zip(rest.chunks_exact(COLUMN_RECORD_BYTES)) {
+            *slot = read_record(self.core, rec.try_into().expect("exact chunk"));
+            n += 1;
+        }
+        n
+    }
 }
 
 /// Decodes one column entry. Kind bytes were validated when the columns
@@ -586,6 +605,41 @@ mod tests {
             assert_eq!(col.get(col.len()), None);
         }
         assert!(cols.column(cols.cores()).is_empty());
+    }
+
+    #[test]
+    fn decode_into_matches_get() {
+        let recs = records(3_000);
+        let cols = Columns::parse(encode(&recs)).expect("valid");
+        let col = cols.column(3);
+        let filler = TraceRecord {
+            core: 0,
+            kind: AccessKind::Read,
+            pc: 0,
+            addr: 0,
+            igap: 0,
+        };
+        let mut out = [filler; 16];
+        for start in [
+            0,
+            1,
+            15,
+            col.len() - 5,
+            col.len(),
+            col.len() + 7,
+            usize::MAX,
+        ] {
+            let n = col.decode_into(start, &mut out);
+            assert_eq!(
+                n,
+                col.len().saturating_sub(start).min(out.len()),
+                "from {start}"
+            );
+            for (i, r) in out[..n].iter().enumerate() {
+                assert_eq!(Some(*r), col.get(start + i), "record {}", start + i);
+            }
+        }
+        assert_eq!(col.decode_into(0, &mut []), 0);
     }
 
     #[test]
