@@ -59,6 +59,7 @@ fn run_cell(opts: &BenchOpts, w: &WorkloadSpec) -> Row {
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let opts = BenchOpts::from_args();
     opts.print_header("Ablation: static always-hit vs dynamic MAP-I prediction on Unison Cache");
 

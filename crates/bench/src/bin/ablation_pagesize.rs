@@ -23,6 +23,7 @@ struct Row {
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let opts = BenchOpts::from_args();
     opts.print_header("Ablation: Unison Cache page size, 960B vs 1984B");
 

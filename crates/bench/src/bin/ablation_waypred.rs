@@ -72,6 +72,7 @@ fn run_cell(opts: &BenchOpts, w: &WorkloadSpec, policy: WayPolicy, label: &str) 
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let opts = BenchOpts::from_args();
     opts.print_header("Ablation: Unison Cache way-location policy (1GB, 960B pages, 4-way)");
 

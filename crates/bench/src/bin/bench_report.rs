@@ -399,6 +399,7 @@ fn usage(msg: &str) -> ! {
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let (opts, extra) = BenchOpts::parse_known(std::env::args().skip(1));
     let mut label = String::from("local");
     let mut out: Option<PathBuf> = None;

@@ -26,6 +26,7 @@ struct Row {
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let opts = BenchOpts::from_args();
     opts.print_header("Section V.D: DRAM row activations and dynamic energy");
 

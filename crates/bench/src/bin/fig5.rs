@@ -20,6 +20,7 @@ struct Point {
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let opts = BenchOpts::from_args();
     opts.print_header("Figure 5: Unison Cache miss ratio vs associativity (960B pages)");
 

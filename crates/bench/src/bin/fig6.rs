@@ -17,6 +17,7 @@ struct Point {
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let opts = BenchOpts::from_args();
     opts.print_header("Figure 6: DRAM cache miss ratio, Alloy vs Footprint vs Unison");
 

@@ -23,6 +23,7 @@ struct Point {
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let opts = BenchOpts::from_args();
     opts.print_header("Figure 7: speedup over no-DRAM-cache baseline (CloudSuite)");
 

@@ -19,6 +19,7 @@ struct Point {
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let opts = BenchOpts::from_args();
     opts.print_header("Figure 8: speedup over no-DRAM-cache baseline (TPC-H, 1-8GB)");
 

@@ -680,6 +680,7 @@ fn run_orchestrated(
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let (opts, extra) = BenchOpts::parse_known(std::env::args().skip(1));
     let sweep = parse_sweep_args(extra);
     if sweep.list {

@@ -9,6 +9,7 @@ use unison_core::layout::{AlloyRowLayout, FcTagModel, UnisonRowLayout};
 use unison_predictors::{FootprintTable, MissPredictor, SingletonTable, WayPredictor};
 
 fn main() {
+    unison_bench::require_cpu_features();
     let features = std::env::args().any(|a| a == "--features");
     println!("== Table II: key characteristics @ 8GB stacked DRAM ==\n");
 

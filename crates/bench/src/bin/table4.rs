@@ -6,6 +6,7 @@ use unison_bench::Table;
 use unison_core::layout::FcTagModel;
 
 fn main() {
+    unison_bench::require_cpu_features();
     println!("== Table IV: Footprint Cache tag parameters ==\n");
     const MB: u64 = 1 << 20;
     let sizes = [

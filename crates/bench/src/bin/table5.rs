@@ -24,6 +24,7 @@ struct Row {
 }
 
 fn main() {
+    unison_bench::require_cpu_features();
     let opts = BenchOpts::from_args();
     opts.print_header("Table V: predictor accuracy @ 1GB (8GB for TPC-H)");
 

@@ -37,6 +37,58 @@ pub mod table;
 pub use opts::BenchOpts;
 pub use table::Table;
 
+/// The first CPU feature this build relies on that the host lacks, if
+/// any.
+///
+/// `.cargo/config.toml` builds for `x86-64-v3`, so any code may use
+/// AVX2, BMI1/2, FMA, LZCNT, MOVBE or F16C instructions, and a host
+/// without one of them dies with SIGILL and no message. The features
+/// are read from CPUID: `is_x86_feature_detected!` folds to `true` for
+/// every feature a build enables, so in this build it cannot report one
+/// missing.
+pub fn missing_cpu_feature() -> Option<&'static str> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::__cpuid;
+        // Leaves 1 and 0x8000_0001 exist on every x86-64 CPU; leaf 7 only
+        // where leaf 0 reports it.
+        let basic = __cpuid(1).ecx;
+        let structured = if __cpuid(0).eax >= 7 {
+            __cpuid(7).ebx
+        } else {
+            0
+        };
+        let extended = __cpuid(0x8000_0001).ecx;
+        [
+            ("avx2", structured, 5),
+            ("bmi1", structured, 3),
+            ("bmi2", structured, 8),
+            ("fma", basic, 12),
+            ("lzcnt", extended, 5),
+            ("movbe", basic, 22),
+            ("f16c", basic, 29),
+        ]
+        .into_iter()
+        .find(|&(_, register, bit)| register >> bit & 1 == 0)
+        .map(|(feature, ..)| feature)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    None
+}
+
+/// Exits with status 2 and a one-line error naming the missing feature
+/// when [`missing_cpu_feature`] finds one. Every binary calls this
+/// first, so an older CPU gets a message instead of SIGILL.
+pub fn require_cpu_features() {
+    if let Some(feature) = missing_cpu_feature() {
+        eprintln!(
+            "error: this CPU lacks {feature}, which the x86-64-v3 target in \
+             .cargo/config.toml requires; remove that rustflag and rebuild to run here"
+        );
+        std::process::exit(2);
+    }
+}
+
 /// Nominal cache sizes of the CloudSuite sweeps (Figures 5–7).
 pub const CLOUD_SIZES: [u64; 4] = [128 << 20, 256 << 20, 512 << 20, 1024 << 20];
 
@@ -67,4 +119,12 @@ pub fn table5_grid(
         grid = grid.sizes_for(w.name, [table5_size(w.name)]);
     }
     grid
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn build_host_has_every_cpu_feature_the_build_targets() {
+        assert_eq!(super::missing_cpu_feature(), None);
+    }
 }

@@ -552,6 +552,15 @@ impl Campaign {
             telemetry.time_phase(Phase::TracePrefill, || {
                 traces.prefill(&tasks, self.threads);
             });
+            if self.progress.banners() && !tasks.is_empty() {
+                let held = traces.held();
+                eprintln!(
+                    "[harness] froze {} trace artifact(s): {:.1} MiB, {:.2} B/record",
+                    held.artifacts,
+                    held.bytes as f64 / (1u64 << 20) as f64,
+                    held.bytes as f64 / held.records.max(1) as f64
+                );
+            }
         }
         let store = speedups.then(|| {
             let mut store = BaselineStore::new(self.cfg);

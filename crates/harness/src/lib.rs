@@ -120,4 +120,4 @@ pub use scheduler::{
     ShardedExecutor, TaskPlan,
 };
 pub use telemetry::{CampaignTiming, Clock, MockClock, MonotonicClock, Phase, Telemetry};
-pub use trace_store::TraceStore;
+pub use trace_store::{HeldArtifacts, TraceStore};

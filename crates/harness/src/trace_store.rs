@@ -38,6 +38,18 @@ type StoreKey = (String, u64);
 /// finishes, then share its result.
 type Slot = Arc<Mutex<Option<Arc<TraceArtifact>>>>;
 
+/// Totals over the artifacts a [`TraceStore`] holds in memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HeldArtifacts {
+    /// Artifacts held.
+    pub artifacts: usize,
+    /// Records across them.
+    pub records: u64,
+    /// Encoded bytes across them: what their columns occupy in memory,
+    /// give or take a few bytes each.
+    pub bytes: u64,
+}
+
 /// Exactly-once (per length high-water mark) store of frozen trace
 /// artifacts, safe to share across the campaign worker pool.
 pub struct TraceStore {
@@ -137,6 +149,26 @@ impl TraceStore {
     /// Requests served by loading a persisted artifact from disk.
     pub fn disk_hits(&self) -> usize {
         self.disk_hits.load(Ordering::Relaxed)
+    }
+
+    /// What the store holds now. Waits for any freeze in flight.
+    pub fn held(&self) -> HeldArtifacts {
+        let slots: Vec<Slot> = self
+            .slots
+            .lock()
+            .expect("trace store map poisoned")
+            .values()
+            .cloned()
+            .collect();
+        let mut held = HeldArtifacts::default();
+        for slot in slots {
+            if let Some(a) = slot.lock().expect("trace store slot poisoned").as_ref() {
+                held.artifacts += 1;
+                held.records += a.len() as u64;
+                held.bytes += a.columns().encoded_len() as u64;
+            }
+        }
+        held
     }
 
     fn disk_path(&self, key: u64) -> Option<PathBuf> {
@@ -255,6 +287,21 @@ mod tests {
         // A shorter request is also a hit on the existing artifact.
         let c = store.get(&spec, 42, 10);
         assert!(Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn held_totals_the_artifacts_in_memory() {
+        let store = TraceStore::new();
+        assert_eq!(store.held(), HeldArtifacts::default());
+        let spec = quick_spec();
+        let a = store.get(&spec, 1, 1_000);
+        let b = store.get(&spec, 2, 500);
+        store.get(&spec, 1, 10); // a memo hit adds nothing
+        let held = store.held();
+        assert_eq!((held.artifacts, held.records), (2, 1_500));
+        let bytes = a.columns().to_vec().len() + b.columns().to_vec().len();
+        assert_eq!(held.bytes, bytes as u64);
+        assert!(held.bytes < 8 * 1_500 + 2_000, "{held:?}");
     }
 
     #[test]

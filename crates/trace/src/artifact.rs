@@ -4,7 +4,8 @@
 //! *same* `(spec, seed)` record stream N×M times. Regenerating it per cell
 //! pays the full RNG/Zipf synthesis cost every time; a [`TraceArtifact`]
 //! pays it **once**, freezing the stream in the [`crate::codec`] column
-//! layout — one record column per core plus a 1-byte order stream — and
+//! layout — one column of bit-packed entries per core plus a 1-byte
+//! order stream, about 7 bytes per generated record — and
 //! every subsequent consumer reads straight off the shared buffers: the
 //! simulator's dispatch loop takes each core's records from its column,
 //! and a [`TraceReplay`] cursor yields them in global order. No decode
@@ -122,8 +123,9 @@ pub struct TraceArtifact {
 
 impl TraceArtifact {
     /// Generates and freezes the first `len` records of
-    /// `WorkloadGen::new(spec, seed)`, writing each record straight into
-    /// its core's column.
+    /// `WorkloadGen::new(spec, seed)` in one streaming pass, packing each
+    /// record straight into its core's column under the layout the
+    /// generator declares up front ([`WorkloadGen::layout`]).
     ///
     /// # Panics
     ///
@@ -131,8 +133,9 @@ impl TraceArtifact {
     /// [`WorkloadGen::new`]).
     pub fn freeze(spec: &WorkloadSpec, seed: u64, len: u64) -> Self {
         let len = usize::try_from(len).expect("trace length fits in memory");
-        let mut enc = codec::Encoder::with_capacity(spec.cores as usize, len);
-        for r in WorkloadGen::new(spec.clone(), seed).take(len) {
+        let gen = WorkloadGen::new(spec.clone(), seed);
+        let mut enc = codec::Encoder::with_capacity(gen.layout(), spec.cores as usize, len);
+        for r in gen.take(len) {
             enc.push(&r);
         }
         TraceArtifact {
@@ -143,9 +146,9 @@ impl TraceArtifact {
     }
 
     /// Rehydrates an artifact from previously persisted bytes (e.g. a
-    /// disk cache), fully validating it: header, version, sizes, every
-    /// order-stream core id against the column counts, **and** every
-    /// record's kind byte — so reading it afterwards is infallible. The
+    /// disk cache), fully validating it: header, version, layout, sizes,
+    /// every order-stream core id against the column counts, **and**
+    /// every entry's PC index — so reading it afterwards is infallible. The
     /// columns are views into `bytes`, not copies.
     ///
     /// # Errors
@@ -286,17 +289,20 @@ mod tests {
             Some(DecodeError::Truncated)
         );
 
-        let mut bad_kind = good.clone();
-        let last_entry = good.len() - codec::COLUMN_RECORD_BYTES;
-        bad_kind[last_entry] = 7;
+        // Data Serving's 48 PCs take a 6-bit index, so 63 names no PC.
+        let layout = a.columns().layout();
+        assert_eq!(layout.pcs().len(), 48);
+        let mut bad_index = good.clone();
+        let last_entry = good.len() - codec::TAIL_BYTES - layout.entry_bytes();
+        bad_index[last_entry] |= 63 << 1;
         assert_eq!(
-            load(bad_kind),
-            Some(DecodeError::BadKind(7)),
+            load(bad_index),
+            Some(DecodeError::BadPcIndex(63)),
             "rehydration must validate every record, not just the header"
         );
 
         let mut bad_core = good.clone();
-        let order_start = codec::HEADER_BYTES + 8 * a.columns().cores();
+        let order_start = codec::HEADER_BYTES + 8 * (a.columns().cores() + layout.pcs().len());
         bad_core[order_start] = 200;
         assert_eq!(load(bad_core), Some(DecodeError::BadCore(200)));
     }

@@ -1,4 +1,4 @@
-//! Compact binary trace encoding, de-interleaved by core.
+//! Compact binary trace encoding: bit-packed, de-interleaved by core.
 //!
 //! A trace is stored as one record **column** per core plus a 1-byte
 //! **order stream** naming the core of each record in global order. The
@@ -6,6 +6,14 @@
 //! order, so it reads the columns directly — no global decode, no
 //! per-core staging buffers — while [`Columns::iter`] still yields the
 //! records in their original global order by walking the order stream.
+//!
+//! Every column entry has the same width, `W` bytes, set by the
+//! stream's [`Layout`]: the header declares once how many bits each
+//! field takes and lists the distinct PCs in a table, so an entry stores
+//! a PC-table index instead of a PC and an address without the
+//! trailing zero bits every address shares. A generated trace has a few
+//! hundred PCs, block-aligned addresses below its footprint and gaps
+//! under 2^15, so its entries take 6 bytes where raw fields take 21.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -15,13 +23,24 @@
 //! | 8 | 4 | [`VERSION`] |
 //! | 12 | 4 | `cores`: column count, at most [`MAX_CORES`] |
 //! | 16 | 8 | `len`: total records |
-//! | 24 | 8 × `cores` | record count of each column |
+//! | 24 | 1 | `addr_shift`: trailing zero bits every address shares, at most 63 |
+//! | 25 | 1 | `addr_bits`: width of `addr >> addr_shift`, at most `64 - addr_shift` |
+//! | 26 | 1 | `igap_bits`: width of `igap`, at most 32 |
+//! | 27 | 1 | `pc_bits`: width of a PC-table index, at most 31 |
+//! | 28 | 4 | `pcs`: PC-table length, at most `2^pc_bits` |
+//! | 32 | 8 × `cores` | record count of each column |
+//! | … | 8 × `pcs` | PC table |
 //! | … | `len` | order stream: the core id of each record |
-//! | … | 21 × count | column 0, then 1, …: `kind` u8, `pc` u64, `addr` u64, `igap` u32 |
+//! | … | `W` × count | column 0, then 1, … |
+//! | … | 15 | zero padding, so any entry can be read with one 16-byte load |
 //!
-//! A record costs [`RECORD_BYTES`] = 22 bytes in total (its order byte
-//! plus its column entry) — the same as an interleaved encoding that
-//! stores the core id inline.
+//! An entry packs, from its least significant bit up: `kind` (1 bit,
+//! 1 = write), the PC-table index (`pc_bits`), `igap` (`igap_bits`) and
+//! `addr >> addr_shift` (`addr_bits`), in
+//! `W = ceil((1 + pc_bits + igap_bits + addr_bits) / 8)` bytes. `W` is
+//! at most 16 for any input (1 + 31 + 32 + 64 bits), and a record costs
+//! `W + 1` bytes with its order byte. The address goes last so that the
+//! other three fields always sit in the entry's low 64 bits.
 
 use std::io::{self, Write};
 
@@ -31,19 +50,21 @@ use crate::record::{AccessKind, TraceRecord};
 
 /// Magic bytes identifying a trace stream.
 pub const MAGIC: &[u8; 8] = b"UNISONTR";
-/// Current format version (2: per-core columns plus an order stream).
-pub const VERSION: u32 = 2;
+/// Current format version (4: bit-packed column entries under a
+/// declared [`Layout`]). Version 3 is skipped: builds that were never
+/// committed wrote files under that number.
+pub const VERSION: u32 = 4;
 
 /// Size of the fixed part of the header (magic, version, core count,
-/// record count); the per-column counts follow it.
-pub const HEADER_BYTES: usize = 24;
-/// Size of one column entry (the record without its core id).
-pub const COLUMN_RECORD_BYTES: usize = 1 + 8 + 8 + 4;
-/// Encoded size of one record: its order-stream byte plus its column
-/// entry.
-pub const RECORD_BYTES: usize = 1 + COLUMN_RECORD_BYTES;
+/// record count, layout); the per-column counts follow it.
+pub const HEADER_BYTES: usize = 32;
 /// Most columns a stream can hold: core ids are one byte.
 pub const MAX_CORES: usize = 256;
+/// Zero bytes after the last column entry: enough that a 16-byte load
+/// at any entry stays inside the buffer.
+pub const TAIL_BYTES: usize = 15;
+/// Widest PC-table index: tables hold at most 2^31 PCs.
+const MAX_PC_BITS: u32 = 31;
 
 /// Errors produced while decoding a trace stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,13 +79,16 @@ pub enum DecodeError {
     TrailingBytes,
     /// The header declares more than [`MAX_CORES`] columns.
     BadCoreCount(u32),
+    /// The header declares a field width, or a PC-table length, out of
+    /// range; the string names the field.
+    BadLayout(&'static str),
     /// The order stream names a core with no column.
     BadCore(u8),
     /// The column counts do not add up to the order stream, or disagree
     /// with how often it names each core.
     ColumnMismatch,
-    /// A record contained an invalid access-kind byte.
-    BadKind(u8),
+    /// A column entry names a PC past the end of the PC table.
+    BadPcIndex(u32),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -75,20 +99,179 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "stream is shorter than its header says"),
             DecodeError::TrailingBytes => write!(f, "stream is longer than its header says"),
             DecodeError::BadCoreCount(n) => write!(f, "{n} core columns exceed {MAX_CORES}"),
+            DecodeError::BadLayout(field) => write!(f, "layout field {field} is out of range"),
             DecodeError::BadCore(c) => {
                 write!(f, "order stream names core {c}, which has no column")
             }
             DecodeError::ColumnMismatch => {
                 write!(f, "column counts disagree with the order stream")
             }
-            DecodeError::BadKind(k) => write!(f, "invalid access kind byte {k}"),
+            DecodeError::BadPcIndex(i) => write!(f, "entry names PC {i}, past the PC table"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// Encodes records into a self-describing byte buffer.
+/// The field widths and PC table a stream's column entries are packed
+/// under. Every record pushed into an [`Encoder`] must fit its layout:
+/// its PC in the table, its address a multiple of `2^addr_shift` below
+/// `2^(addr_shift + addr_bits)`, and its `igap` below `2^igap_bits`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Layout {
+    /// Distinct PCs, ascending; an entry stores an index into it.
+    pcs: Vec<u64>,
+    addr_shift: u8,
+    addr_bits: u8,
+    igap_bits: u8,
+    pc_bits: u8,
+}
+
+impl Layout {
+    /// The narrowest layout holding records whose PCs are in `pcs`,
+    /// whose addresses are multiples of `2^addr_shift` no larger than
+    /// `max_addr`, and whose gaps are at most `max_igap`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr_shift > 63` or `pcs` holds more than 2^31
+    /// distinct PCs.
+    pub fn new(mut pcs: Vec<u64>, addr_shift: u32, max_addr: u64, max_igap: u32) -> Self {
+        assert!(addr_shift < 64, "addr_shift {addr_shift} exceeds 63");
+        pcs.sort_unstable();
+        pcs.dedup();
+        let index_bits = (pcs.len().max(1) - 1).checked_ilog2().map_or(0, |b| b + 1);
+        assert!(
+            index_bits <= MAX_PC_BITS,
+            "{} distinct PCs exceed the 2^{MAX_PC_BITS} a PC table holds",
+            pcs.len()
+        );
+        Layout {
+            pcs,
+            addr_shift: addr_shift as u8,
+            addr_bits: (64 - (max_addr >> addr_shift).leading_zeros()) as u8,
+            igap_bits: (32 - max_igap.leading_zeros()) as u8,
+            pc_bits: index_bits as u8,
+        }
+    }
+
+    /// The narrowest layout holding every record in `records`.
+    pub fn of(records: &[TraceRecord]) -> Self {
+        let common = records.iter().fold(0, |acc, r| acc | r.addr);
+        Layout::new(
+            records.iter().map(|r| r.pc).collect(),
+            common.trailing_zeros().min(63),
+            records.iter().map(|r| r.addr).max().unwrap_or(0),
+            records.iter().map(|r| r.igap).max().unwrap_or(0),
+        )
+    }
+
+    /// The PC table, ascending.
+    pub fn pcs(&self) -> &[u64] {
+        &self.pcs
+    }
+
+    /// Bytes per column entry, `W`.
+    pub fn entry_bytes(&self) -> usize {
+        Fields::of(self).width
+    }
+
+    /// Checks a layout read off a stream, with its PC table of
+    /// `pc_count` entries: the header bounds in the module docs.
+    fn validate(&self, pc_count: usize) -> Result<(), DecodeError> {
+        if self.addr_shift > 63 {
+            return Err(DecodeError::BadLayout("addr_shift"));
+        }
+        if u32::from(self.addr_bits) + u32::from(self.addr_shift) > 64 {
+            return Err(DecodeError::BadLayout("addr_bits"));
+        }
+        if self.igap_bits > 32 {
+            return Err(DecodeError::BadLayout("igap_bits"));
+        }
+        if u32::from(self.pc_bits) > MAX_PC_BITS {
+            return Err(DecodeError::BadLayout("pc_bits"));
+        }
+        if pc_count > 1 << self.pc_bits {
+            return Err(DecodeError::BadLayout("pcs"));
+        }
+        Ok(())
+    }
+}
+
+/// The low `bits` bits set, for `bits` up to 64.
+fn low_mask(bits: u32) -> u64 {
+    u64::MAX.checked_shr(64 - bits).unwrap_or(0)
+}
+
+/// A [`Layout`]'s widths as the shifts and masks that pack and unpack an
+/// entry.
+#[derive(Debug, Clone, Copy)]
+struct Fields {
+    /// Bytes per entry.
+    width: usize,
+    addr_shift: u32,
+    /// Bit offsets of the gap and address fields.
+    igap_at: u32,
+    addr_at: u32,
+    pc_mask: u64,
+    addr_mask: u64,
+    igap_mask: u64,
+}
+
+impl Fields {
+    fn of(layout: &Layout) -> Self {
+        let (pc_bits, addr_bits, igap_bits) = (
+            u32::from(layout.pc_bits),
+            u32::from(layout.addr_bits),
+            u32::from(layout.igap_bits),
+        );
+        let igap_at = 1 + pc_bits;
+        let addr_at = igap_at + igap_bits;
+        Fields {
+            width: (addr_at + addr_bits).div_ceil(8) as usize,
+            addr_shift: u32::from(layout.addr_shift),
+            igap_at,
+            addr_at,
+            pc_mask: low_mask(pc_bits),
+            addr_mask: low_mask(addr_bits),
+            igap_mask: low_mask(igap_bits),
+        }
+    }
+
+    /// Unpacks the entry at byte `at` of `bytes`: one unaligned 16-byte
+    /// load (the tail padding keeps it in bounds), shifts and masks, and
+    /// one PC-table load. Streams are validated when frozen or parsed,
+    /// so the index is in the table. Kind, index and gap sit in the low
+    /// 64 bits, and the address starts at bit 1 to 64, so each field
+    /// takes one shift of at most 63 bits out of the word.
+    #[inline(always)]
+    fn unpack(&self, core: u8, bytes: &[u8], at: usize, pcs: &[u64]) -> TraceRecord {
+        let word = u128::from_le_bytes(bytes[at..at + 16].try_into().expect("16-byte load"));
+        let low = word as u64;
+        TraceRecord {
+            core,
+            kind: if low & 1 == 0 {
+                AccessKind::Read
+            } else {
+                AccessKind::Write
+            },
+            pc: pcs[((low >> 1) & self.pc_mask) as usize],
+            igap: ((low >> self.igap_at) & self.igap_mask) as u32,
+            addr: ((word >> 1 >> ((self.addr_at - 1) & 63)) as u64 & self.addr_mask)
+                << self.addr_shift,
+        }
+    }
+
+    /// The entry's PC-table index, for validation.
+    #[inline]
+    fn pc_index(&self, bytes: &[u8], at: usize) -> u64 {
+        let low = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("entry plus padding"));
+        (low >> 1) & self.pc_mask
+    }
+}
+
+/// Encodes records into a self-describing byte buffer, under the
+/// narrowest [`Layout`] that holds them.
 ///
 /// # Example
 ///
@@ -102,7 +285,7 @@ impl std::error::Error for DecodeError {}
 /// # Ok::<(), unison_trace::codec::DecodeError>(())
 /// ```
 pub fn encode(records: &[TraceRecord]) -> Bytes {
-    let mut enc = Encoder::with_capacity(0, records.len());
+    let mut enc = Encoder::with_capacity(Layout::of(records), 0, records.len());
     for r in records {
         enc.push(r);
     }
@@ -119,48 +302,92 @@ pub fn decode(buf: &[u8]) -> Result<Vec<TraceRecord>, DecodeError> {
     Ok(Columns::parse(Bytes::from(buf.to_vec()))?.iter().collect())
 }
 
-/// Streaming column writer: appends records one at a time straight into
-/// their core's column, so a trace pulled off a generator is never
-/// materialized as a `Vec<TraceRecord>` or encoded in a second pass.
+/// Streaming column writer: packs records one at a time straight into
+/// their core's column under a [`Layout`] fixed up front, so a trace
+/// pulled off a generator is never materialized as a `Vec<TraceRecord>`
+/// or encoded in a second pass.
 #[derive(Debug)]
 pub struct Encoder {
+    layout: Layout,
+    fields: Fields,
+    /// Address and gap bits the layout has no room for.
+    addr_reject: u64,
+    igap_reject: u64,
     order: Vec<u8>,
     columns: Vec<Vec<u8>>,
+    /// Each core's last PC and its table index: all records of one
+    /// visit share a PC, so this hits on most pushes.
+    last_pc: Vec<Option<(u64, u32)>>,
 }
 
 impl Encoder {
-    /// Creates an encoder with `cores` columns (more appear on demand
-    /// when a record names a higher core), pre-sized for `records`
-    /// records spread about evenly over them.
-    pub fn with_capacity(cores: usize, records: usize) -> Self {
+    /// Creates an encoder packing under `layout`, with `cores` columns
+    /// (more appear on demand when a record names a higher core),
+    /// pre-sized for `records` records spread about evenly over them.
+    pub fn with_capacity(layout: Layout, cores: usize, records: usize) -> Self {
         let cores = cores.min(MAX_CORES);
+        let fields = Fields::of(&layout);
         // Slack for uneven interleaving; capacity that is never written
         // is never touched, so it costs address space, not memory.
         let per_core = records.checked_div(cores).map_or(0, |n| n + n / 8 + 64);
         Encoder {
+            addr_reject: !(fields.addr_mask << fields.addr_shift),
+            igap_reject: !fields.igap_mask,
+            fields,
+            layout,
             order: Vec::with_capacity(records),
             columns: (0..cores)
-                .map(|_| Vec::with_capacity(per_core * COLUMN_RECORD_BYTES))
+                .map(|_| Vec::with_capacity(per_core * fields.width))
                 .collect(),
+            last_pc: vec![None; cores],
         }
     }
 
     /// Appends one record to its core's column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record does not fit the layout: its PC is not in
+    /// the table, its address has bits outside the address field, or its
+    /// gap is too wide. Nothing is ever truncated.
     #[inline]
     pub fn push(&mut self, r: &TraceRecord) {
         let core = usize::from(r.core);
         if core >= self.columns.len() {
             self.columns.resize_with(core + 1, Vec::new);
+            self.last_pc.resize(core + 1, None);
         }
-        let mut rec = [0u8; COLUMN_RECORD_BYTES];
-        rec[0] = match r.kind {
-            AccessKind::Read => 0,
-            AccessKind::Write => 1,
+        let index = match self.last_pc[core] {
+            Some((pc, index)) if pc == r.pc => index,
+            _ => {
+                let index = self.layout.pcs.binary_search(&r.pc).unwrap_or_else(|_| {
+                    panic!("record {r:?} has a PC outside the layout's PC table")
+                }) as u32;
+                self.last_pc[core] = Some((r.pc, index));
+                index
+            }
         };
-        rec[1..9].copy_from_slice(&r.pc.to_le_bytes());
-        rec[9..17].copy_from_slice(&r.addr.to_le_bytes());
-        rec[17..21].copy_from_slice(&r.igap.to_le_bytes());
-        self.columns[core].extend_from_slice(&rec);
+        assert!(
+            r.addr & self.addr_reject == 0 && u64::from(r.igap) & self.igap_reject == 0,
+            "record {r:?} does not fit the layout (addr_shift {}, addr_bits {}, igap_bits {})",
+            self.layout.addr_shift,
+            self.layout.addr_bits,
+            self.layout.igap_bits
+        );
+        let f = &self.fields;
+        let addr = r.addr >> f.addr_shift;
+        // Kind, index and gap fill at most the low 64 bits; the address
+        // field starts at bit 1 to 64 and spills into the high half.
+        let low = u64::from(r.kind.is_write())
+            | u64::from(index) << 1
+            | u64::from(r.igap) << f.igap_at
+            | addr << 1 << (f.addr_at - 1);
+        let high = addr >> (64 - f.addr_at);
+        // A fixed 16-byte copy, cut back to the entry width: cheaper than
+        // a copy of variable length.
+        let col = &mut self.columns[core];
+        col.extend_from_slice(&(u128::from(high) << 64 | u128::from(low)).to_le_bytes());
+        col.truncate(col.len() - (16 - f.width));
         self.order.push(r.core);
     }
 
@@ -176,26 +403,45 @@ impl Encoder {
 
     /// Freezes the columns; every buffer is taken over, not copied.
     pub fn finish(self) -> Columns {
+        let width = self.fields.width;
+        let counts = self.columns.iter().map(|c| c.len() / width).collect();
+        let columns = self
+            .columns
+            .into_iter()
+            .map(|mut col| {
+                col.extend_from_slice(&[0; TAIL_BYTES]);
+                Bytes::from(col)
+            })
+            .collect();
         Columns {
+            fields: self.fields,
+            layout: self.layout,
             order: self.order.into(),
-            columns: self.columns.into_iter().map(Bytes::from).collect(),
+            counts,
+            columns,
         }
     }
 }
 
 /// A frozen trace in column layout: one [`Column`] per core plus the
 /// order stream. Clones share storage.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Columns {
+    layout: Layout,
+    fields: Fields,
     order: Bytes,
+    /// Records in each column.
+    counts: Vec<usize>,
+    /// Each column's entries, followed by at least [`TAIL_BYTES`] bytes
+    /// that are zero padding or the next column's entries.
     columns: Vec<Bytes>,
 }
 
 impl Columns {
-    /// Parses and fully validates an encoded stream — header, sizes, every
-    /// order byte against the column counts, and every kind byte — so
-    /// reading it afterwards is infallible. The columns are views into
-    /// `buf`, not copies.
+    /// Parses and fully validates an encoded stream — header, layout,
+    /// sizes, every order byte against the column counts, and every
+    /// entry's PC index against the table — so reading it afterwards is
+    /// infallible. The columns are views into `buf`, not copies.
     ///
     /// # Errors
     ///
@@ -222,7 +468,17 @@ impl Columns {
             return Err(DecodeError::BadCoreCount(cores));
         }
         let cores = cores as usize;
-        let order_start = HEADER_BYTES + 8 * cores;
+        let pc_count = u32_at(28) as usize;
+        let mut layout = Layout {
+            pcs: Vec::new(),
+            addr_shift: b[24],
+            addr_bits: b[25],
+            igap_bits: b[26],
+            pc_bits: b[27],
+        };
+        layout.validate(pc_count)?;
+        let pcs_start = HEADER_BYTES + 8 * cores;
+        let order_start = pcs_start + 8 * pc_count;
         if b.len() < order_start {
             return Err(DecodeError::Truncated);
         }
@@ -231,12 +487,14 @@ impl Columns {
         if counts.iter().try_fold(0u64, |s, &n| s.checked_add(n)) != Some(len) {
             return Err(DecodeError::ColumnMismatch);
         }
+        layout.pcs = (0..pc_count).map(|i| u64_at(pcs_start + 8 * i)).collect();
+        let fields = Fields::of(&layout);
         // Both sizes overflow only for lengths no buffer could hold.
         let len = usize::try_from(len).map_err(|_| DecodeError::Truncated)?;
         let columns_start = order_start.checked_add(len).ok_or(DecodeError::Truncated)?;
         let end = len
-            .checked_mul(COLUMN_RECORD_BYTES)
-            .and_then(|n| n.checked_add(columns_start))
+            .checked_mul(fields.width)
+            .and_then(|n| n.checked_add(columns_start + TAIL_BYTES))
             .ok_or(DecodeError::Truncated)?;
         match b.len().cmp(&end) {
             std::cmp::Ordering::Less => return Err(DecodeError::Truncated),
@@ -253,22 +511,26 @@ impl Columns {
         if tally[..cores] != counts[..] {
             return Err(DecodeError::ColumnMismatch);
         }
-        for rec in b[columns_start..].chunks_exact(COLUMN_RECORD_BYTES) {
-            if rec[0] > 1 {
-                return Err(DecodeError::BadKind(rec[0]));
+        for at in (columns_start..end - TAIL_BYTES).step_by(fields.width) {
+            let index = fields.pc_index(b, at);
+            if index >= pc_count as u64 {
+                return Err(DecodeError::BadPcIndex(index as u32));
             }
         }
+        let counts: Vec<usize> = counts.into_iter().map(|n| n as usize).collect();
         let mut at = columns_start;
         let columns = counts
             .iter()
             .map(|&n| {
-                let bytes = n as usize * COLUMN_RECORD_BYTES;
-                at += bytes;
-                buf.slice(at - bytes..at)
+                at += n * fields.width;
+                buf.slice(at - n * fields.width..at + TAIL_BYTES)
             })
             .collect();
         Ok(Columns {
+            layout,
+            fields,
             order: buf.slice(order_start..columns_start),
+            counts,
             columns,
         })
     }
@@ -289,9 +551,23 @@ impl Columns {
         self.columns.len()
     }
 
+    /// The layout the entries are packed under.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
     /// The order stream: the core id of each record, in global order.
     pub fn order(&self) -> &[u8] {
         &self.order
+    }
+
+    /// Size of the encoded stream ([`Self::write_to`]'s output), which is
+    /// also about what the frozen columns hold in memory.
+    pub fn encoded_len(&self) -> usize {
+        HEADER_BYTES
+            + 8 * (self.cores() + self.layout.pcs.len())
+            + self.len() * (1 + self.fields.width)
+            + TAIL_BYTES
     }
 
     /// Core `core`'s records in program order (empty past
@@ -300,7 +576,10 @@ impl Columns {
     pub fn column(&self, core: usize) -> Column<'_> {
         Column {
             core: core as u8,
+            len: self.counts.get(core).copied().unwrap_or(0),
             bytes: self.columns.get(core).map_or(&[], |b| &b[..]),
+            fields: &self.fields,
+            pcs: &self.layout.pcs,
         }
     }
 
@@ -309,6 +588,8 @@ impl Columns {
         TraceReplay {
             order: &self.order,
             columns: &self.columns,
+            fields: self.fields,
+            pcs: &self.layout.pcs,
             next: [0; MAX_CORES],
         }
     }
@@ -335,9 +616,7 @@ impl Columns {
     pub fn skip_to_stream_position(&self, next: &mut [usize], dry: bool) {
         let mut seen = [0usize; MAX_CORES];
         if dry {
-            for (c, col) in self.columns.iter().enumerate() {
-                seen[c] = col.len() / COLUMN_RECORD_BYTES;
-            }
+            seen[..self.counts.len()].copy_from_slice(&self.counts);
         } else {
             let mut pending = next.iter().filter(|&&n| n > 0).count();
             for &c in self.order.iter() {
@@ -360,24 +639,29 @@ impl Columns {
     ///
     /// Propagates `w`'s I/O errors.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let l = &self.layout;
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&(self.columns.len() as u32).to_le_bytes())?;
         w.write_all(&(self.len() as u64).to_le_bytes())?;
-        for col in &self.columns {
-            w.write_all(&((col.len() / COLUMN_RECORD_BYTES) as u64).to_le_bytes())?;
+        w.write_all(&[l.addr_shift, l.addr_bits, l.igap_bits, l.pc_bits])?;
+        w.write_all(&(l.pcs.len() as u32).to_le_bytes())?;
+        for &n in &self.counts {
+            w.write_all(&(n as u64).to_le_bytes())?;
+        }
+        for pc in &l.pcs {
+            w.write_all(&pc.to_le_bytes())?;
         }
         w.write_all(&self.order)?;
-        for col in &self.columns {
-            w.write_all(col)?;
+        for (col, &n) in self.columns.iter().zip(&self.counts) {
+            w.write_all(&col[..n * self.fields.width])?;
         }
-        Ok(())
+        w.write_all(&[0; TAIL_BYTES])
     }
 
     /// The encoded stream as one buffer.
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(HEADER_BYTES + 8 * self.columns.len() + self.len() * RECORD_BYTES);
+        let mut out = Vec::with_capacity(self.encoded_len());
         self.write_to(&mut out)
             .expect("writing to a Vec cannot fail");
         out
@@ -389,26 +673,32 @@ impl Columns {
 #[derive(Debug, Clone, Copy)]
 pub struct Column<'a> {
     core: u8,
+    len: usize,
+    /// The entries plus at least [`TAIL_BYTES`] readable bytes after them.
     bytes: &'a [u8],
+    fields: &'a Fields,
+    pcs: &'a [u64],
 }
 
 impl Column<'_> {
     /// Records in the column.
     #[inline]
     pub fn len(&self) -> usize {
-        self.bytes.len() / COLUMN_RECORD_BYTES
+        self.len
     }
 
     /// True when the core has no records.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
     /// The column's `i`-th record, if it has one.
     #[inline]
     pub fn get(&self, i: usize) -> Option<TraceRecord> {
-        let rec = self.bytes.get(i * COLUMN_RECORD_BYTES..)?.first_chunk()?;
-        Some(read_record(self.core, rec))
+        (i < self.len).then(|| {
+            self.fields
+                .unpack(self.core, self.bytes, i * self.fields.width, self.pcs)
+        })
     }
 
     /// Decodes the column's records from index `start` on into `out`, as
@@ -418,33 +708,14 @@ impl Column<'_> {
     /// on each line in turn.
     #[inline]
     pub fn decode_into(&self, start: usize, out: &mut [TraceRecord]) -> usize {
-        let rest = start
-            .checked_mul(COLUMN_RECORD_BYTES)
-            .and_then(|at| self.bytes.get(at..))
-            .unwrap_or(&[]);
-        let mut n = 0;
-        for (slot, rec) in out.iter_mut().zip(rest.chunks_exact(COLUMN_RECORD_BYTES)) {
-            *slot = read_record(self.core, rec.try_into().expect("exact chunk"));
-            n += 1;
+        let n = self.len.saturating_sub(start).min(out.len());
+        let width = self.fields.width;
+        for (k, slot) in out[..n].iter_mut().enumerate() {
+            *slot = self
+                .fields
+                .unpack(self.core, self.bytes, (start + k) * width, self.pcs);
         }
         n
-    }
-}
-
-/// Decodes one column entry. Kind bytes were validated when the columns
-/// were frozen or parsed: only 0 or 1 occur.
-#[inline]
-fn read_record(core: u8, rec: &[u8; COLUMN_RECORD_BYTES]) -> TraceRecord {
-    TraceRecord {
-        core,
-        kind: if rec[0] == 0 {
-            AccessKind::Read
-        } else {
-            AccessKind::Write
-        },
-        pc: u64::from_le_bytes(rec[1..9].try_into().expect("8-byte pc field")),
-        addr: u64::from_le_bytes(rec[9..17].try_into().expect("8-byte addr field")),
-        igap: u32::from_le_bytes(rec[17..21].try_into().expect("4-byte igap field")),
     }
 }
 
@@ -458,6 +729,8 @@ fn read_record(core: u8, rec: &[u8; COLUMN_RECORD_BYTES]) -> TraceRecord {
 pub struct TraceReplay<'a> {
     order: &'a [u8],
     columns: &'a [Bytes],
+    fields: Fields,
+    pcs: &'a [u64],
     /// Byte offset of each core's next column entry.
     next: [usize; MAX_CORES],
 }
@@ -471,11 +744,8 @@ impl Iterator for TraceReplay<'_> {
         self.order = rest;
         let c = usize::from(core);
         let at = self.next[c];
-        self.next[c] = at + COLUMN_RECORD_BYTES;
-        let rec = self.columns[c][at..]
-            .first_chunk()
-            .expect("validated column holds every record the order stream names");
-        Some(read_record(core, rec))
+        self.next[c] = at + self.fields.width;
+        Some(self.fields.unpack(core, &self.columns[c], at, self.pcs))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -501,12 +771,79 @@ mod tests {
             .take(10_000)
             .collect();
         let encoded = encode(&recs);
+        let layout = Layout::of(&recs);
         assert_eq!(
             encoded.len(),
-            HEADER_BYTES + 16 * 8 + recs.len() * RECORD_BYTES
+            HEADER_BYTES
+                + 8 * (16 + layout.pcs().len())
+                + recs.len() * (1 + layout.entry_bytes())
+                + TAIL_BYTES
         );
+        assert!(layout.entry_bytes() <= 7, "{layout:?}");
         let decoded = decode(&encoded).expect("roundtrip");
         assert_eq!(decoded, recs);
+    }
+
+    #[test]
+    fn layout_widths_are_the_narrowest_that_fit() {
+        let rec = |pc, addr, igap| TraceRecord {
+            core: 0,
+            kind: AccessKind::Write,
+            pc,
+            addr,
+            igap,
+        };
+        let l = Layout::of(&[rec(9, 0x1_0000, 1), rec(3, 0x4_0000, 255), rec(9, 0, 2)]);
+        assert_eq!(l.pcs(), &[3, 9]);
+        assert_eq!(
+            (l.addr_shift, l.addr_bits, l.igap_bits, l.pc_bits),
+            (16, 3, 8, 1)
+        );
+        assert_eq!(l.entry_bytes(), 2); // 1 + 1 + 3 + 8 bits
+        let widest = Layout::of(&[rec(0, u64::MAX, u32::MAX), rec(1, 1, 0)]);
+        assert_eq!(widest.entry_bytes(), 13); // 1 + 1 + 64 + 32 bits
+        assert_eq!(Layout::of(&[]).entry_bytes(), 1);
+        assert_eq!(Layout::new(vec![1; 5], 0, 0, 0).pcs(), &[1]);
+        assert_eq!(Layout::new((0..5).collect(), 0, 0, 0).pc_bits, 3);
+        assert_eq!(Layout::new((0..4).collect(), 0, 0, 0).pc_bits, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "PC outside")]
+    fn push_rejects_an_unknown_pc() {
+        let mut enc = Encoder::with_capacity(Layout::new(vec![1, 2], 6, 4096, 10), 1, 1);
+        enc.push(&TraceRecord {
+            core: 0,
+            kind: AccessKind::Read,
+            pc: 3,
+            addr: 64,
+            igap: 1,
+        });
+    }
+
+    #[test]
+    fn push_rejects_what_does_not_fit_and_never_truncates() {
+        let layout = Layout::new(vec![7], 6, 4096, 10);
+        let ok = TraceRecord {
+            core: 0,
+            kind: AccessKind::Read,
+            pc: 7,
+            addr: 4096,
+            igap: 15,
+        };
+        for bad in [
+            TraceRecord { addr: 32, ..ok },   // below the shift
+            TraceRecord { addr: 8192, ..ok }, // past the address field
+            TraceRecord { igap: 16, ..ok },   // past the gap field
+        ] {
+            let layout = layout.clone();
+            let fits = std::panic::catch_unwind(move || {
+                let mut enc = Encoder::with_capacity(layout, 1, 1);
+                enc.push(&ok);
+                enc.push(&bad);
+            });
+            assert!(fits.is_err(), "{bad:?} was accepted");
+        }
     }
 
     #[test]
@@ -524,8 +861,10 @@ mod tests {
     #[test]
     fn bad_version_rejected() {
         let mut b = encode(&[]).to_vec();
-        b[8] = 99;
-        assert_eq!(decode(&b), Err(DecodeError::BadVersion(99)));
+        for old in [2, 3, 99] {
+            b[8] = old;
+            assert_eq!(decode(&b), Err(DecodeError::BadVersion(u32::from(old))));
+        }
     }
 
     #[test]
@@ -539,12 +878,43 @@ mod tests {
     }
 
     #[test]
-    fn bad_kind_rejected() {
-        let b = encode(&records(1)).to_vec();
+    fn bad_layout_rejected() {
+        let b = encode(&records(3)).to_vec();
+        for (at, value, field) in [
+            (24, 64, "addr_shift"),
+            (25, 65, "addr_bits"),
+            (26, 33, "igap_bits"),
+            (27, 32, "pc_bits"),
+            (27, 0, "pcs"),
+        ] {
+            let mut bad = b.clone();
+            bad[at] = value;
+            assert_eq!(decode(&bad), Err(DecodeError::BadLayout(field)), "{field}");
+        }
+        let mut shifted = b.clone();
+        shifted[24] = 63; // with the 20-odd address bits, past bit 63
+        assert_eq!(decode(&shifted), Err(DecodeError::BadLayout("addr_bits")));
+        let mut long_table = b.clone();
+        long_table[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&long_table), Err(DecodeError::BadLayout("pcs")));
+    }
+
+    #[test]
+    fn bad_pc_index_rejected() {
+        let rec = |pc| TraceRecord {
+            core: 0,
+            kind: AccessKind::Read,
+            pc,
+            addr: 0,
+            igap: 0,
+        };
+        // Three PCs take a 2-bit index, so index 3 names no PC.
+        let b = encode(&[rec(10), rec(20), rec(30)]).to_vec();
+        let last_entry = b.len() - TAIL_BYTES - 1;
+        assert_eq!(b[last_entry], 2 << 1);
         let mut bad = b.clone();
-        let kind_at = b.len() - COLUMN_RECORD_BYTES; // the only column entry
-        bad[kind_at] = 7;
-        assert_eq!(decode(&bad), Err(DecodeError::BadKind(7)));
+        bad[last_entry] = 3 << 1;
+        assert_eq!(decode(&bad), Err(DecodeError::BadPcIndex(3)));
     }
 
     #[test]
@@ -552,7 +922,7 @@ mod tests {
         let recs = records(40);
         let b = encode(&recs).to_vec();
         let cores = u32::from_le_bytes(b[12..16].try_into().unwrap()) as usize;
-        let order_start = HEADER_BYTES + 8 * cores;
+        let order_start = HEADER_BYTES + 8 * (cores + Layout::of(&recs).pcs().len());
 
         let mut bad_core = b.clone();
         bad_core[order_start] = cores as u8;
@@ -579,7 +949,7 @@ mod tests {
         let recs: Vec<_> = WorkloadGen::new(workloads::data_serving(), 5)
             .take(2_000)
             .collect();
-        let mut enc = Encoder::with_capacity(16, recs.len());
+        let mut enc = Encoder::with_capacity(Layout::of(&recs), 16, recs.len());
         assert!(enc.is_empty());
         for r in &recs {
             enc.push(r);
@@ -587,6 +957,7 @@ mod tests {
         assert_eq!(enc.len(), recs.len());
         let cols = enc.finish();
         assert_eq!(cols.to_vec(), encode(&recs).to_vec());
+        assert_eq!(cols.encoded_len(), cols.to_vec().len());
         assert_eq!(cols.iter().collect::<Vec<_>>(), recs);
     }
 

@@ -3,8 +3,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::codec::Layout;
 use crate::profile::{FunctionProfile, REGION_BLOCKS, REGION_BYTES};
-use crate::record::{AccessKind, TraceRecord};
+use crate::record::{AccessKind, TraceRecord, BLOCK_BYTES};
 use crate::spec::WorkloadSpec;
 use crate::zipf::Zipf;
 
@@ -101,6 +102,20 @@ impl WorkloadGen {
     /// The synthetic function library (exposed for tests and analysis).
     pub fn functions(&self) -> &[FunctionProfile] {
         &self.functions
+    }
+
+    /// A codec [`Layout`] every record of this stream fits, known before
+    /// the first record: the PC table is the function library's PCs,
+    /// addresses are block-aligned and below the footprint's last
+    /// region, and a gap is at most what the smallest `1 - u` a uniform
+    /// draw can take (2^-53) yields.
+    pub fn layout(&self) -> Layout {
+        Layout::new(
+            self.functions.iter().map(|f| f.pc).collect(),
+            BLOCK_BYTES.trailing_zeros(),
+            self.spec.region_count() * REGION_BYTES - BLOCK_BYTES,
+            igap_for(0.5f64.powi(53), f64::from(self.spec.mean_igap)),
+        )
     }
 
     /// Maps a popularity rank (or streaming index) to a physical region.
@@ -220,7 +235,7 @@ impl WorkloadGen {
         let spec_write = self.spec.write_fraction;
         let mean_igap = f64::from(self.spec.mean_igap);
         let u: f64 = self.rng.gen();
-        let igap = (1.0 - u).ln().mul_add(-mean_igap, 1.0) as u32;
+        let igap = igap_for(1.0 - u, mean_igap);
         let is_write = self.rng.gen::<f64>() < spec_write;
 
         let visit = self.cores[core].visit.as_mut().expect("visit just ensured");
@@ -233,7 +248,7 @@ impl WorkloadGen {
             visit.remaining &= !(1u64 << b);
             b
         };
-        let addr = visit.region * REGION_BYTES + u64::from(block) * crate::record::BLOCK_BYTES;
+        let addr = visit.region * REGION_BYTES + u64::from(block) * BLOCK_BYTES;
         let rec = TraceRecord {
             core: core as u8,
             kind: if is_write {
@@ -243,7 +258,7 @@ impl WorkloadGen {
             },
             pc: visit.pc,
             addr,
-            igap: igap.max(1),
+            igap,
         };
         if visit.remaining == 0 {
             if visit.scan_left > 0 {
@@ -279,6 +294,13 @@ impl Iterator for WorkloadGen {
         self.rr_next = (self.rr_next + hop) % n;
         Some(self.emit(self.rr_next))
     }
+}
+
+/// The instruction gap for an exponential draw with mean `mean_igap`
+/// from `one_minus_u` in `(0, 1]`: larger for smaller `one_minus_u`, and
+/// at least 1.
+fn igap_for(one_minus_u: f64, mean_igap: f64) -> u32 {
+    (one_minus_u.ln().mul_add(-mean_igap, 1.0) as u32).max(1)
 }
 
 /// Finds a multiplier near `start` that is coprime to `n`.
@@ -321,6 +343,25 @@ mod tests {
             }
             assert_eq!(a, 1, "gcd({n}, {c}) != 1");
         }
+    }
+
+    #[test]
+    fn declared_layout_fits_every_record() {
+        for spec in workloads::all() {
+            let spec = spec.scaled(64);
+            let gen = WorkloadGen::new(spec.clone(), 11);
+            let layout = gen.layout();
+            assert_eq!(layout.pcs().len(), spec.n_functions);
+            let mut enc = crate::codec::Encoder::with_capacity(layout, 16, 20_000);
+            for r in gen.take(20_000) {
+                enc.push(&r); // panics on a record that does not fit
+            }
+        }
+        // The widest gap comes from the smallest `1 - u` a draw yields.
+        let u_max = ((1u64 << 53) - 1) as f64 / (1u64 << 53) as f64;
+        assert_eq!(1.0 - u_max, 0.5f64.powi(53));
+        assert_eq!(igap_for(1.0 - u_max, 550.0), 20_206);
+        assert_eq!(igap_for(1.0, 550.0), 1);
     }
 
     #[test]

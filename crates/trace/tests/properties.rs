@@ -1,37 +1,87 @@
 //! Property-based tests for the trace layer.
 
 use proptest::prelude::*;
-use unison_trace::codec::{self, decode, encode};
+use unison_trace::codec::{self, decode, encode, Columns, Encoder, Layout};
 use unison_trace::{workloads, AccessKind, TraceArtifact, TraceRecord, WorkloadGen, Zipf};
 
-fn arb_record() -> impl Strategy<Value = TraceRecord> {
+/// Records with arbitrary fields: edge-case and unaligned addresses,
+/// gaps from 0 to `u32::MAX`, thousands of distinct PCs and 1–256
+/// cores.
+fn arb_records() -> impl Strategy<Value = Vec<TraceRecord>> {
+    let addr = prop_oneof![
+        any::<u64>(),
+        Just(0u64),
+        Just(u64::MAX),
+        0u64..4096,
+        any::<u64>().prop_map(|a| a << 20),
+    ];
+    let igap = prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>(), 0u32..1000];
+    let fields = (any::<u8>(), any::<bool>(), any::<u64>(), addr, igap);
     (
-        0u8..16,
-        any::<bool>(),
+        1u64..=256,
+        1u64..5000,
         any::<u64>(),
-        any::<u64>(),
-        1u32..100_000,
+        proptest::collection::vec(fields, 0..3000),
     )
-        .prop_map(|(core, w, pc, addr, igap)| TraceRecord {
-            core,
-            kind: if w {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-            pc,
-            addr,
-            igap,
+        .prop_map(|(cores, pcs, pc_seed, fields)| {
+            fields
+                .into_iter()
+                .map(|(core, w, pick, addr, igap)| TraceRecord {
+                    core: (u64::from(core) % cores) as u8,
+                    kind: if w {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
+                    pc: (pick % pcs).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pc_seed,
+                    addr,
+                    igap,
+                })
+                .collect()
         })
 }
 
+/// Byte offset of the order stream in an encoded stream.
+fn order_start(columns: &Columns) -> usize {
+    codec::HEADER_BYTES + 8 * (columns.cores() + columns.layout().pcs().len())
+}
+
 proptest! {
-    /// The binary codec roundtrips any record sequence bit-exactly.
+    /// The binary codec roundtrips any record sequence bit-exactly,
+    /// through the batch and streaming encoders and every read path.
     #[test]
-    fn codec_roundtrips(records in proptest::collection::vec(arb_record(), 0..200)) {
+    fn codec_roundtrips(records in arb_records()) {
         let bytes = encode(&records);
         let back = decode(&bytes).expect("decode");
-        prop_assert_eq!(back, records);
+        prop_assert_eq!(&back, &records);
+
+        let mut enc = Encoder::with_capacity(Layout::of(&records), 256, records.len());
+        for r in &records {
+            enc.push(r);
+        }
+        let streamed = enc.finish();
+        prop_assert_eq!(streamed.iter().collect::<Vec<_>>(), records.clone());
+        let parsed = Columns::parse(streamed.to_vec().into()).expect("parse");
+        prop_assert_eq!(parsed.encoded_len(), streamed.encoded_len());
+        let filler = TraceRecord { core: 0, kind: AccessKind::Read, pc: 0, addr: 0, igap: 0 };
+        let mut burst = [filler; 7];
+        for c in 0..parsed.cores() {
+            let mine: Vec<_> = records.iter().filter(|r| usize::from(r.core) == c).copied().collect();
+            let col = parsed.column(c);
+            prop_assert_eq!(col.len(), mine.len());
+            let got: Vec<_> = (0..col.len()).map(|i| col.get(i).expect("in range")).collect();
+            prop_assert_eq!(&got, &mine);
+            prop_assert_eq!(col.get(col.len()), None);
+            let mut via_bursts = Vec::new();
+            loop {
+                let n = col.decode_into(via_bursts.len(), &mut burst);
+                if n == 0 {
+                    break;
+                }
+                via_bursts.extend_from_slice(&burst[..n]);
+            }
+            prop_assert_eq!(&via_bursts, &mine);
+        }
     }
 
     /// Decoding never panics on arbitrary bytes (it returns errors).
@@ -69,7 +119,7 @@ proptest! {
         let mut bytes = Vec::new();
         good.write_to(&mut bytes).unwrap();
         let cores = good.columns().cores();
-        let order_start = codec::HEADER_BYTES + 8 * cores;
+        let order_start = order_start(good.columns());
         for (at, value, mode) in edits {
             let (start, span, value) = match mode {
                 0 => (0, bytes.len(), value),
@@ -93,6 +143,48 @@ proptest! {
             let total: usize = (0..cores).map(|c| a.columns().column(c).len()).sum();
             prop_assert_eq!(total, a.len());
         }
+    }
+
+    /// Rehydrating an artifact with a layout field out of range, an
+    /// entry naming a PC past the table, or a truncated tail always
+    /// returns `Err`, never a panic or an artifact.
+    #[test]
+    fn artifact_from_bytes_rejects_bad_layout_pc_index_and_truncation(
+        seed in any::<u64>(),
+        len in 1u64..300,
+        mode in 0u8..4,
+        pick in any::<u64>(),
+        value in any::<u8>(),
+    ) {
+        let spec = workloads::web_search().scaled(64);
+        let good = TraceArtifact::freeze(&spec, seed, len);
+        let mut bytes = Vec::new();
+        good.write_to(&mut bytes).unwrap();
+        let layout = good.columns().layout();
+        // Web Search's 40 PCs take a 6-bit index: 40..=63 name no PC.
+        prop_assert_eq!(layout.pcs().len(), 40);
+        match mode {
+            0 => {
+                // One width past its bound.
+                let (at, min) = [(24, 64), (25, 65), (26, 33), (27, 32)][(pick % 4) as usize];
+                bytes[at] = value.max(min);
+            }
+            1 => {
+                // A PC table longer than the 6-bit index can address.
+                let n = 65 + (pick % u64::from(u32::MAX - 65)) as u32;
+                bytes[28..32].copy_from_slice(&n.to_le_bytes());
+            }
+            2 => {
+                let entries = good.len();
+                let width = layout.entry_bytes();
+                let columns_start = order_start(good.columns()) + entries;
+                let at = columns_start + (pick % entries as u64) as usize * width;
+                let index = 40 + value % 24;
+                bytes[at] = (bytes[at] & !(63 << 1)) | index << 1;
+            }
+            _ => bytes.truncate((pick % bytes.len() as u64) as usize),
+        }
+        prop_assert!(TraceArtifact::from_bytes(good.key(), seed, bytes.into()).is_err());
     }
 
     /// Replaying a frozen artifact yields the byte-identical record
@@ -151,5 +243,21 @@ proptest! {
             prop_assert_eq!(s.pattern_noise, w.pattern_noise);
             prop_assert!(s.mem_footprint_bytes <= w.mem_footprint_bytes);
         }
+    }
+}
+
+/// Every built-in workload, frozen at scale 16, encodes in at most 8
+/// bytes per record, order byte included.
+#[test]
+fn built_in_workloads_encode_in_at_most_8_bytes_per_record() {
+    let len = 50_000;
+    for w in workloads::all() {
+        let artifact = TraceArtifact::freeze(&w.clone().scaled(16), 1, len);
+        let columns = artifact.columns();
+        let per_record = 1 + columns.layout().entry_bytes();
+        assert!(per_record <= 8, "{}: {per_record} B/record", w.name);
+        assert_eq!(columns.encoded_len(), columns.to_vec().len());
+        let average = columns.encoded_len() as f64 / len as f64;
+        assert!(average <= 8.0, "{}: {average:.2} B/record", w.name);
     }
 }
