@@ -43,8 +43,9 @@ fn bench_predictors(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i = i.wrapping_add(1);
-            let w = wp.predict(i % 10_000);
-            wp.update(i % 10_000, (i % 4) as u32);
+            let slot = wp.slot(i % 10_000);
+            let w = wp.predict(slot);
+            wp.update(slot, (i % 4) as u32);
             black_box(w)
         });
     });
@@ -53,8 +54,9 @@ fn bench_predictors(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i = i.wrapping_add(1);
-            let p = mp.predict((i % 16) as u32, i % 997);
-            mp.update((i % 16) as u32, i % 997, i.is_multiple_of(3));
+            let slot = mp.slot((i % 16) as u32, i % 997);
+            let p = mp.predict(slot);
+            mp.update(slot, i.is_multiple_of(3));
             black_box(p)
         });
     });

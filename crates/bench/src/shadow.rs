@@ -63,10 +63,10 @@ impl<C: DramCacheModel> DramCacheModel for ShadowMissPredictor<C> {
     fn access(&mut self, now: Ps, req: &Request, mem: &mut MemPorts) -> CacheAccess {
         // Predict first (so the shadow cannot peek at the outcome), then
         // train with the real result.
-        let _ = self.shadow.predict(u32::from(req.core), req.pc);
+        let slot = self.shadow.slot(u32::from(req.core), req.pc);
+        let _ = self.shadow.predict(slot);
         let access = self.inner.access(now, req, mem);
-        self.shadow
-            .update(u32::from(req.core), req.pc, access.hit());
+        self.shadow.update(slot, access.hit());
         access
     }
 

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 use unison_dram::{cpu_cycles_to_ps, Op, Ps, RowCol};
 use unison_predictors::{MissPrediction, MissPredictor};
 
+use crate::divisor::Divisor;
 use crate::layout::{AlloyRowLayout, TAD_BYTES};
 use crate::meta::MetaStore;
 use crate::model::{CacheAccess, DramCacheModel};
@@ -47,12 +48,19 @@ impl AlloyConfig {
 ///
 /// TAD metadata (tag, valid bit, dirty bit) lives in a direct-mapped
 /// block-mode [`MetaStore`] — the same SoA engine the page caches use,
-/// with the footprint/recency arrays left empty.
+/// with the footprint/recency arrays left empty. The TAD count and the
+/// TADs per row are precomputed [`Divisor`]s, and the controller latency
+/// is converted to picoseconds once, at construction.
 #[derive(Debug, Clone)]
 pub struct AlloyCache {
     cfg: AlloyConfig,
-    layout: AlloyRowLayout,
-    num_tads: u64,
+    /// Number of TAD slots.
+    tad_div: Divisor,
+    /// TADs per row.
+    row_div: Divisor,
+    /// Controller overhead (plus the predictor's cycle when it is on),
+    /// in picoseconds.
+    ctrl_ps: Ps,
     meta: MetaStore,
     mp: MissPredictor,
     stats: CacheStats,
@@ -68,10 +76,12 @@ impl AlloyCache {
         let layout = AlloyRowLayout::paper();
         let num_tads = layout.num_tads(cfg.cache_bytes);
         assert!(num_tads > 0, "cache too small for even one TAD");
+        let ctrl_cycles = cfg.ctrl_overhead_cycles + u64::from(cfg.miss_predictor);
         AlloyCache {
             cfg,
-            layout,
-            num_tads,
+            tad_div: Divisor::new(num_tads),
+            row_div: Divisor::new(u64::from(layout.tads_per_row)),
+            ctrl_ps: cpu_cycles_to_ps(ctrl_cycles),
             meta: MetaStore::blocks(num_tads),
             mp: MissPredictor::paper_default(),
             stats: CacheStats::default(),
@@ -85,23 +95,31 @@ impl AlloyCache {
 
     /// Number of TAD slots.
     pub fn num_tads(&self) -> u64 {
-        self.num_tads
+        self.tad_div.get()
     }
 
     fn tad_loc(&self, tad: u64) -> RowCol {
-        let row = tad / u64::from(self.layout.tads_per_row);
-        let slot = (tad % u64::from(self.layout.tads_per_row)) as u32;
-        RowCol::new(row, slot * TAD_BYTES)
+        let (row, slot) = self.row_div.divmod(tad);
+        RowCol::new(row, slot as u32 * TAD_BYTES)
     }
 
     /// Fills `tad` with `tag`, writing back the old occupant if dirty.
     /// The victim's data already streamed out with the probe TAD read, so
     /// the writeback is a single off-chip write.
-    fn fill(&mut self, now: Ps, tad: u64, tag: u32, dirty: bool, mem: &mut MemPorts) -> Ps {
+    #[allow(clippy::too_many_arguments)]
+    fn fill(
+        &mut self,
+        now: Ps,
+        tad: u64,
+        loc: RowCol,
+        tag: u32,
+        dirty: bool,
+        mem: &mut MemPorts,
+    ) -> Ps {
         let old_valid = self.meta.is_valid(tad, 0);
         let mut done = now;
         if old_valid && self.meta.block_dirty(tad) {
-            let victim_bn = self.meta.tag(tad, 0) * self.num_tads + tad;
+            let victim_bn = self.meta.tag(tad, 0) * self.tad_div.get() + tad;
             let wb = mem.offchip.access_addr(
                 now,
                 Op::Write,
@@ -115,9 +133,7 @@ impl AlloyCache {
         if old_valid {
             self.stats.evictions += 1;
         }
-        let w = mem
-            .stacked
-            .access(now, Op::Write, self.tad_loc(tad), TAD_BYTES);
+        let w = mem.stacked.access(now, Op::Write, loc, TAD_BYTES);
         self.stats.stacked_write_bytes += u64::from(TAD_BYTES);
         self.stats.fill_blocks += 1;
         self.meta.install_block(tad, u64::from(tag), dirty);
@@ -137,36 +153,32 @@ impl DramCacheModel for AlloyCache {
     fn access(&mut self, now: Ps, req: &Request, mem: &mut MemPorts) -> CacheAccess {
         self.stats.accesses += 1;
         let bn = req.block_number();
-        let tad = bn % self.num_tads;
-        let tag = (bn / self.num_tads) as u32;
+        let (tag, tad) = self.tad_div.divmod(bn);
+        let tag = tag as u32;
+        let loc = self.tad_loc(tad);
         let is_hit = self.meta.probe_set(tad, u64::from(tag)).is_some();
 
-        // Miss prediction: one extra cycle of predictor latency.
-        let (prediction, t0) = if self.cfg.miss_predictor {
-            let p = self.mp.predict(u32::from(req.core), req.pc);
-            (p, now + cpu_cycles_to_ps(self.cfg.ctrl_overhead_cycles + 1))
-        } else {
-            (
-                MissPrediction::Hit,
-                now + cpu_cycles_to_ps(self.cfg.ctrl_overhead_cycles),
-            )
-        };
+        // Miss prediction: one extra cycle of predictor latency, already
+        // in `ctrl_ps`. The (core, PC) pair hashes once for the
+        // prediction and the training below.
+        let t0 = now + self.ctrl_ps;
+        let mp_slot = self
+            .cfg
+            .miss_predictor
+            .then(|| self.mp.slot(u32::from(req.core), req.pc));
+        let prediction = mp_slot.map_or(MissPrediction::Hit, |slot| self.mp.predict(slot));
 
         let access = match prediction {
             MissPrediction::Hit => {
                 // Probe the cache first; on a miss the off-chip request
                 // is serialized behind the failed lookup (§II-A).
-                let probe = mem
-                    .stacked
-                    .access(t0, Op::Read, self.tad_loc(tad), TAD_BYTES);
+                let probe = mem.stacked.access(t0, Op::Read, loc, TAD_BYTES);
                 self.stats.stacked_read_bytes += u64::from(TAD_BYTES);
                 let tag_known = probe.last_data_ps + cpu_cycles_to_ps(1);
                 if is_hit {
                     let mut done = tag_known;
                     if req.is_write {
-                        let w =
-                            mem.stacked
-                                .access(tag_known, Op::Write, self.tad_loc(tad), TAD_BYTES);
+                        let w = mem.stacked.access(tag_known, Op::Write, loc, TAD_BYTES);
                         self.stats.stacked_write_bytes += u64::from(TAD_BYTES);
                         self.meta.mark_block_dirty(tad);
                         done = done.max(w.last_data_ps);
@@ -185,7 +197,7 @@ impl DramCacheModel for AlloyCache {
                         BLOCK_BYTES as u32,
                     );
                     self.stats.offchip_read_bytes += BLOCK_BYTES;
-                    let done = self.fill(oc.last_data_ps, tad, tag, req.is_write, mem);
+                    let done = self.fill(oc.last_data_ps, tad, loc, tag, req.is_write, mem);
                     self.stats.block_misses += 1;
                     CacheAccess {
                         outcome: AccessOutcome::BlockMiss,
@@ -202,9 +214,7 @@ impl DramCacheModel for AlloyCache {
                     mem.offchip
                         .access_addr(t0, Op::Read, bn * BLOCK_BYTES, BLOCK_BYTES as u32);
                 self.stats.offchip_read_bytes += BLOCK_BYTES;
-                let probe = mem
-                    .stacked
-                    .access(t0, Op::Read, self.tad_loc(tad), TAD_BYTES);
+                let probe = mem.stacked.access(t0, Op::Read, loc, TAD_BYTES);
                 self.stats.stacked_read_bytes += u64::from(TAD_BYTES);
                 let tag_known = probe.last_data_ps + cpu_cycles_to_ps(1);
                 if is_hit {
@@ -212,9 +222,7 @@ impl DramCacheModel for AlloyCache {
                     // serve from the cache (covers the dirty case).
                     let mut done = tag_known.max(oc.last_data_ps);
                     if req.is_write {
-                        let w =
-                            mem.stacked
-                                .access(tag_known, Op::Write, self.tad_loc(tad), TAD_BYTES);
+                        let w = mem.stacked.access(tag_known, Op::Write, loc, TAD_BYTES);
                         self.stats.stacked_write_bytes += u64::from(TAD_BYTES);
                         self.meta.mark_block_dirty(tad);
                         done = done.max(w.last_data_ps);
@@ -226,7 +234,7 @@ impl DramCacheModel for AlloyCache {
                         done_ps: done,
                     }
                 } else {
-                    let done = self.fill(oc.last_data_ps, tad, tag, req.is_write, mem);
+                    let done = self.fill(oc.last_data_ps, tad, loc, tag, req.is_write, mem);
                     self.stats.block_misses += 1;
                     CacheAccess {
                         outcome: AccessOutcome::BlockMiss,
@@ -237,8 +245,8 @@ impl DramCacheModel for AlloyCache {
             }
         };
 
-        if self.cfg.miss_predictor {
-            self.mp.update(u32::from(req.core), req.pc, is_hit);
+        if let Some(slot) = mp_slot {
+            self.mp.update(slot, is_hit);
             let (c, fm, fh) = self.mp.outcome_stats();
             self.stats.mp_correct = c;
             self.stats.mp_false_miss = fm;
@@ -395,5 +403,23 @@ mod tests {
         let a = ac.access(0, &read(0), &mut mem);
         assert_eq!(a.outcome, AccessOutcome::BlockMiss);
         assert_eq!(ac.stats().mp_correct, 0, "no predictor stats when disabled");
+    }
+
+    /// TAD index, tag and row placement equal the `/` and `%` formulas
+    /// they replaced, at every preset size.
+    #[test]
+    fn placement_matches_division_reference() {
+        for size in [1u64 << 20, 8 << 20, 96 << 20, 512 << 20, 8 << 30] {
+            let ac = AlloyCache::new(AlloyConfig::new(size));
+            let tads = ac.num_tads();
+            assert_eq!(tads, size / 8192 * 112);
+            for bn in [0, 1, tads - 1, tads, tads + 1, 987_654_321, u64::MAX / 64] {
+                assert_eq!(ac.tad_div.divmod(bn), (bn / tads, bn % tads));
+            }
+            for tad in [0, 1, 111, 112, 113, tads / 2, tads - 1] {
+                let reference = RowCol::new(tad / 112, (tad % 112) as u32 * TAD_BYTES);
+                assert_eq!(ac.tad_loc(tad), reference, "tad {tad} of {tads}");
+            }
+        }
     }
 }

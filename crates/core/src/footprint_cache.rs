@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 use unison_dram::{cpu_cycles_to_ps, Op, Ps, RowCol};
 use unison_predictors::{Footprint, FootprintTable, SingletonEntry, SingletonTable};
 
+use crate::divisor::Divisor;
 use crate::layout::{FcTagModel, ROW_BYTES};
 use crate::meta::{MetaStore, PageMeta, Replacement};
 use crate::model::{CacheAccess, DramCacheModel};
@@ -66,12 +67,17 @@ const PAGES_PER_ROW: u64 = ROW_BYTES / PAGE_BYTES;
 ///
 /// Set metadata lives in a struct-of-arrays [`MetaStore`] under
 /// timestamp LRU (32-way recency needs more range than a saturating
-/// byte, so stamps are the access clock).
+/// byte, so stamps are the access clock). The set count is a
+/// precomputed [`Divisor`], and the controller plus SRAM tag latency is
+/// converted to picoseconds once, at construction.
 #[derive(Debug, Clone)]
 pub struct FootprintCache {
     cfg: FootprintConfig,
     tag_model: FcTagModel,
-    num_sets: u64,
+    /// Number of sets.
+    set_div: Divisor,
+    /// Controller overhead plus the SRAM tag lookup, in picoseconds.
+    tag_ps: Ps,
     meta: MetaStore,
     fp_table: FootprintTable,
     singletons: SingletonTable,
@@ -88,9 +94,12 @@ impl FootprintCache {
     pub fn new(cfg: FootprintConfig) -> Self {
         let num_sets = cfg.cache_bytes / (PAGE_BYTES * u64::from(cfg.assoc));
         assert!(num_sets > 0, "cache too small for even one set");
+        let tag_model = FcTagModel::for_cache_size(cfg.nominal_bytes);
         FootprintCache {
-            tag_model: FcTagModel::for_cache_size(cfg.nominal_bytes),
-            num_sets,
+            tag_ps: cpu_cycles_to_ps(cfg.ctrl_overhead_cycles)
+                + cpu_cycles_to_ps(tag_model.latency_cycles),
+            tag_model,
+            set_div: Divisor::new(num_sets),
             meta: MetaStore::paged(num_sets, cfg.assoc, Replacement::TimestampLru),
             fp_table: FootprintTable::paper_default(PAGE_BLOCKS),
             singletons: SingletonTable::paper_default(),
@@ -112,7 +121,7 @@ impl FootprintCache {
 
     /// Number of sets.
     pub fn num_sets(&self) -> u64 {
-        self.num_sets
+        self.set_div.get()
     }
 
     /// Stacked-DRAM location of a block: pages pack four to a row,
@@ -121,7 +130,7 @@ impl FootprintCache {
     /// the channel from `way / 4` alone, funnelling the hot working set
     /// through a fraction of the device's banks.
     fn data_loc(&self, set: u64, way: u32, block: u32) -> RowCol {
-        let slot = u64::from(way) * self.num_sets + set;
+        let slot = u64::from(way) * self.set_div.get() + set;
         let row = slot / PAGES_PER_ROW;
         let col = (slot % PAGES_PER_ROW) * PAGE_BYTES + u64::from(block) * BLOCK_BYTES;
         RowCol::new(row, col as u32)
@@ -133,7 +142,7 @@ impl FootprintCache {
 
     fn evict(&mut self, now: Ps, set: u64, way: u32, mem: &mut MemPorts) -> Ps {
         let info = self.meta.eviction_info(set, way, PAGE_BLOCKS);
-        let victim_page = self.meta.tag(set, way) * self.num_sets + set;
+        let victim_page = self.meta.tag(set, way) * self.set_div.get() + set;
         let mut done = now;
         for b in info.dirty.iter() {
             let rd = mem.stacked.access(
@@ -227,13 +236,10 @@ impl DramCacheModel for FootprintCache {
         let bn = req.block_number();
         let page = bn / u64::from(PAGE_BLOCKS);
         let offset = (bn % u64::from(PAGE_BLOCKS)) as u32;
-        let set = page % self.num_sets;
-        let tag = page / self.num_sets;
+        let (tag, set) = self.set_div.divmod(page);
 
         // Every access pays the SRAM tag-array latency (Table IV).
-        let tag_known = now
-            + cpu_cycles_to_ps(self.cfg.ctrl_overhead_cycles)
-            + cpu_cycles_to_ps(self.tag_model.latency_cycles);
+        let tag_known = now + self.tag_ps;
 
         let found = self.meta.probe_set(set, tag);
         let clock = self.clock;

@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 
 pub mod alloy;
+mod divisor;
 pub mod footprint_cache;
 pub mod ideal;
 pub mod layout;
@@ -47,6 +48,7 @@ mod types;
 pub mod unison;
 
 pub use alloy::{AlloyCache, AlloyConfig};
+pub use divisor::Divisor;
 pub use footprint_cache::{FootprintCache, FootprintConfig};
 pub use ideal::IdealCache;
 pub use meta::{MetaStore, PageMeta, Replacement};

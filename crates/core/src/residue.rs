@@ -8,7 +8,12 @@
 //! into `n`-bit digits is congruent to the *sum of its digits*. A few
 //! adders therefore compute the modulo (the paper estimates two cycles and
 //! a few hundred gates, as in Alloy Cache). This module implements exactly
-//! that digit-summing network and property-tests it against `%`.
+//! that digit-summing network, [`mod_2n_minus_1`], as the model of the
+//! hardware unit, and property-tests it against `%`. The simulator needs
+//! only the unit's exact result, so its per-access split,
+//! [`split_page_offset`], divides with a precomputed [`Divisor`] instead.
+
+use crate::divisor::Divisor;
 
 /// Modulo by `2^n − 1` via the digit-summing network a hardware
 /// implementation would use.
@@ -53,11 +58,17 @@ pub fn mod_2n_minus_1(x: u64, n: u32) -> u64 {
 }
 
 /// Divides a block number into (page number, block offset) for pages of
-/// `2^n − 1` blocks, using the residue unit for the offset and a
-/// multiply-shift reciprocal for the quotient.
+/// `2^n − 1` blocks, with a multiply-shift reciprocal for the quotient
+/// and one multiply-subtract for the offset.
 ///
-/// Hardware computes the quotient with the same digit tricks; the model
-/// only needs the *result* to be exact, which the debug assertion checks.
+/// The result is the one the §III-A.7 residue unit computes:
+/// [`mod_2n_minus_1`] gives the same offset (property-tested in
+/// `crates/core/tests/properties.rs`). A cache splits every access, so it
+/// keeps the [`Divisor`] it builds once instead of calling this.
+///
+/// # Panics
+///
+/// Panics if `n` is 0 or greater than 32.
 ///
 /// # Example
 ///
@@ -68,10 +79,8 @@ pub fn mod_2n_minus_1(x: u64, n: u32) -> u64 {
 /// assert_eq!((page, offset), (3, 2));
 /// ```
 pub fn split_page_offset(block_number: u64, n: u32) -> (u64, u32) {
-    let m = (1u64 << n) - 1;
-    let offset = mod_2n_minus_1(block_number, n);
-    let page = (block_number - offset) / m;
-    debug_assert_eq!(page * m + offset, block_number);
+    assert!((1..=32).contains(&n), "digit width must be 1..=32");
+    let (page, offset) = Divisor::new((1u64 << n) - 1).divmod(block_number);
     (page, offset as u32)
 }
 

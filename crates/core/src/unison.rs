@@ -18,13 +18,15 @@
 
 use serde::{Deserialize, Serialize};
 use unison_dram::{cpu_cycles_to_ps, Op, Ps, RowCol};
-use unison_predictors::{Footprint, FootprintTable, SingletonEntry, SingletonTable, WayPredictor};
+use unison_predictors::{
+    Footprint, FootprintTable, SingletonEntry, SingletonTable, WayPredictor, WaySlot,
+};
 
+use crate::divisor::Divisor;
 use crate::layout::{unison_tag_read_bytes, UnisonRowLayout, ROW_BYTES};
 use crate::meta::{MetaStore, PageMeta, Replacement};
 use crate::model::{CacheAccess, DramCacheModel};
 use crate::ports::MemPorts;
-use crate::residue::split_page_offset;
 use crate::stats::CacheStats;
 use crate::types::{AccessOutcome, Request, BLOCK_BYTES};
 
@@ -188,11 +190,6 @@ impl UnisonConfig {
         self.way_policy = policy;
         self
     }
-
-    fn digit_bits(&self) -> u32 {
-        // page_blocks = 2^n - 1  =>  n = trailing ones.
-        (self.page_blocks + 1).trailing_zeros()
-    }
 }
 
 /// The Unison Cache design. See the [module docs](self) for the feature
@@ -203,11 +200,23 @@ impl UnisonConfig {
 /// allocation-trigger `(PC, offset)` pairs — lives in a struct-of-arrays
 /// [`MetaStore`] so the per-access probe/touch/victim walks run over
 /// contiguous memory.
+///
+/// Every size an access divides by is fixed when the cache is built, so
+/// each is a precomputed [`Divisor`]: the page split (the exact result of
+/// the §III-A.7 residue unit, see [`crate::residue`]), the set index and
+/// tag, and a set's DRAM row.
 #[derive(Debug, Clone)]
 pub struct UnisonCache {
     cfg: UnisonConfig,
     layout: UnisonRowLayout,
-    num_sets: u64,
+    /// Blocks per page.
+    page_div: Divisor,
+    /// Number of sets.
+    set_div: Divisor,
+    /// Sets per row (1 when sets span rows, where it is unused).
+    row_div: Divisor,
+    /// The controller overhead in picoseconds.
+    ctrl_ps: Ps,
     meta: MetaStore,
     fp_table: FootprintTable,
     singletons: SingletonTable,
@@ -233,7 +242,10 @@ impl UnisonCache {
         assert!(num_sets > 0, "cache too small for even one set");
         UnisonCache {
             layout,
-            num_sets,
+            page_div: Divisor::new(u64::from(cfg.page_blocks)),
+            set_div: Divisor::new(num_sets),
+            row_div: Divisor::new(u64::from(layout.sets_per_row.max(1))),
+            ctrl_ps: cpu_cycles_to_ps(cfg.ctrl_overhead_cycles),
             meta: MetaStore::paged(num_sets, cfg.assoc, Replacement::AgingLru),
             fp_table: FootprintTable::paper_default(cfg.page_blocks),
             singletons: SingletonTable::paper_default(),
@@ -257,49 +269,49 @@ impl UnisonCache {
 
     /// Number of sets.
     pub fn num_sets(&self) -> u64 {
-        self.num_sets
+        self.set_div.get()
     }
 
-    fn set_of(&self, page: u64) -> u64 {
-        page % self.num_sets
-    }
-
-    fn tag_of(&self, page: u64) -> u64 {
-        page / self.num_sets
-    }
-
-    /// Stacked-DRAM location of a set's metadata region.
-    fn meta_loc(&self, set: u64) -> RowCol {
+    /// Where `set` lives in stacked DRAM, computed once per access.
+    fn place(&self, set: u64) -> SetPlace {
         if self.layout.sets_per_row > 0 {
-            let spr = u64::from(self.layout.sets_per_row);
-            let row = set / spr;
-            let slot = (set % spr) as u32;
-            RowCol::new(row, slot * 16 * self.cfg.assoc)
+            let (row, slot) = self.row_div.divmod(set);
+            let slot = slot as u32;
+            let assoc = self.cfg.assoc;
+            SetPlace {
+                row,
+                meta_col: slot * 16 * assoc,
+                data_col: 16 * assoc * self.layout.sets_per_row
+                    + slot * assoc * self.layout.page_bytes() as u32,
+            }
         } else {
             // Hypothetical multi-row sets (32-way, Figure 5): timing is
             // approximated by addressing the set's first row.
-            RowCol::new(set, 0)
+            SetPlace {
+                row: set,
+                meta_col: 0,
+                data_col: 0,
+            }
         }
     }
 
+    /// Stacked-DRAM location of a set's metadata region.
+    fn meta_loc(&self, at: SetPlace) -> RowCol {
+        RowCol::new(at.row, at.meta_col)
+    }
+
     /// Stacked-DRAM location of a block within a way of a set.
-    fn data_loc(&self, set: u64, way: u32, block: u32) -> RowCol {
+    fn data_loc(&self, at: SetPlace, way: u32, block: u32) -> RowCol {
         if self.layout.sets_per_row > 0 {
-            let spr = u64::from(self.layout.sets_per_row);
-            let row = set / spr;
-            let slot = (set % spr) as u32;
-            let meta_total = 16 * self.cfg.assoc * self.layout.sets_per_row;
-            let page_idx = slot * self.cfg.assoc + way;
-            let col = meta_total
-                + page_idx * self.layout.page_bytes() as u32
-                + block * BLOCK_BYTES as u32;
+            let col =
+                at.data_col + way * self.layout.page_bytes() as u32 + block * BLOCK_BYTES as u32;
             debug_assert!(u64::from(col) + BLOCK_BYTES <= ROW_BYTES);
-            RowCol::new(row, col)
+            RowCol::new(at.row, col)
         } else {
             let col = (u64::from(way % self.layout.pages_per_row) * self.layout.page_bytes()
                 + u64::from(block) * BLOCK_BYTES)
                 % (ROW_BYTES - BLOCK_BYTES);
-            RowCol::new(set, col as u32)
+            RowCol::new(at.row, col as u32)
         }
     }
 
@@ -311,18 +323,18 @@ impl UnisonCache {
     /// Evicts the page in (set, way), writing back dirty blocks and
     /// training the footprint predictor with the observed footprint.
     /// Returns the time the eviction traffic completes.
-    fn evict(&mut self, now: Ps, set: u64, way: u32, mem: &mut MemPorts) -> Ps {
+    fn evict(&mut self, now: Ps, set: u64, at: SetPlace, way: u32, mem: &mut MemPorts) -> Ps {
         debug_assert!(self.meta.is_valid(set, way));
         // One gather from the SoA arrays covers the whole eviction: the
         // trigger identity and the demanded/predicted/dirty masks.
         let info = self.meta.eviction_info(set, way, self.cfg.page_blocks);
-        let victim_page = self.meta.tag(set, way) * self.num_sets + set;
+        let victim_page = self.meta.tag(set, way) * self.set_div.get() + set;
         let mut done = now;
 
         // The (PC, offset) pair and bit vectors are read from the row at
         // eviction (§III-A.6): one small metadata read, typically a row
         // buffer hit.
-        let meta = mem.stacked.access(now, Op::Read, self.meta_loc(set), 8);
+        let meta = mem.stacked.access(now, Op::Read, self.meta_loc(at), 8);
         done = done.max(meta.last_data_ps);
         self.stats.stacked_read_bytes += 8;
 
@@ -331,7 +343,7 @@ impl UnisonCache {
             let rd = mem.stacked.access(
                 meta.last_data_ps,
                 Op::Read,
-                self.data_loc(set, way, b),
+                self.data_loc(at, way, b),
                 BLOCK_BYTES as u32,
             );
             let wr = mem.offchip.access_addr(
@@ -366,7 +378,7 @@ impl UnisonCache {
         &mut self,
         now: Ps,
         page: u64,
-        set: u64,
+        at: SetPlace,
         way: u32,
         trigger: u32,
         mask: Footprint,
@@ -383,7 +395,7 @@ impl UnisonCache {
         let fill = mem.stacked.access(
             crit.last_data_ps,
             Op::Write,
-            self.data_loc(set, way, trigger),
+            self.data_loc(at, way, trigger),
             BLOCK_BYTES as u32,
         );
         self.stats.stacked_write_bytes += BLOCK_BYTES;
@@ -400,7 +412,7 @@ impl UnisonCache {
             let wr = mem.stacked.access(
                 rd.last_data_ps,
                 Op::Write,
-                self.data_loc(set, way, b),
+                self.data_loc(at, way, b),
                 BLOCK_BYTES as u32,
             );
             self.stats.offchip_read_bytes += BLOCK_BYTES;
@@ -423,24 +435,25 @@ impl DramCacheModel for UnisonCache {
 
     fn access(&mut self, now: Ps, req: &Request, mem: &mut MemPorts) -> CacheAccess {
         self.stats.accesses += 1;
-        let t0 = now + cpu_cycles_to_ps(self.cfg.ctrl_overhead_cycles);
-        let (page, offset) = split_page_offset(req.block_number(), self.cfg.digit_bits());
-        let set = self.set_of(page);
-        let tag = self.tag_of(page);
+        let t0 = now + self.ctrl_ps;
+        let (page, offset) = self.page_div.divmod(req.block_number());
+        let offset = offset as u32;
+        let (tag, set) = self.set_div.divmod(page);
+        let at = self.place(set);
 
         // Way prediction happens in the DRAM controller, off the critical
-        // path (§III-A.6).
-        let predicted_way = match self.cfg.way_policy {
-            WayPolicy::Predict => self.wp.predict(page),
-            WayPolicy::ParallelFetch | WayPolicy::SerialTagData => 0,
-        };
+        // path (§III-A.6). The page hashes once; the probe result and any
+        // install train the same entry.
+        let wp_slot: Option<WaySlot> =
+            matches!(self.cfg.way_policy, WayPolicy::Predict).then(|| self.wp.slot(page));
+        let predicted_way = wp_slot.map_or(0, |slot| self.wp.predict(slot));
 
         // Metadata read: the tags + bit vectors of all ways (32 B for
         // 4 ways), always issued.
         let meta = mem.stacked.access(
             t0,
             Op::Read,
-            self.meta_loc(set),
+            self.meta_loc(at),
             unison_tag_read_bytes(self.cfg.assoc.min(self.layout.pages_per_row)),
         );
         self.stats.stacked_read_bytes += u64::from(unison_tag_read_bytes(self.cfg.assoc));
@@ -453,7 +466,7 @@ impl DramCacheModel for UnisonCache {
                 let d = mem.stacked.access(
                     t0,
                     Op::Read,
-                    self.data_loc(set, predicted_way, offset),
+                    self.data_loc(at, predicted_way, offset),
                     BLOCK_BYTES as u32,
                 );
                 self.stats.stacked_read_bytes += BLOCK_BYTES;
@@ -464,7 +477,7 @@ impl DramCacheModel for UnisonCache {
                     let d = mem.stacked.access(
                         t0,
                         Op::Read,
-                        self.data_loc(set, w, offset),
+                        self.data_loc(at, w, offset),
                         BLOCK_BYTES as u32,
                     );
                     self.stats.stacked_read_bytes += BLOCK_BYTES;
@@ -480,12 +493,10 @@ impl DramCacheModel for UnisonCache {
         // resident pages (a prediction is "correct" when the page is
         // found in the predicted way). The predictor consumes the probe
         // result directly.
-        if matches!(self.cfg.way_policy, WayPolicy::Predict) {
-            if let Some(w) = found {
-                self.stats.wp_lookups += 1;
-                if self.wp.observe_probe(page, predicted_way, w) {
-                    self.stats.wp_correct += 1;
-                }
+        if let (Some(slot), Some(w)) = (wp_slot, found) {
+            self.stats.wp_lookups += 1;
+            if self.wp.observe_probe(slot, predicted_way, w) {
+                self.stats.wp_correct += 1;
             }
         }
 
@@ -504,7 +515,7 @@ impl DramCacheModel for UnisonCache {
                                 let d = mem.stacked.access(
                                     tag_known,
                                     Op::Read,
-                                    self.data_loc(set, way, offset),
+                                    self.data_loc(at, way, offset),
                                     BLOCK_BYTES as u32,
                                 );
                                 self.stats.stacked_read_bytes += BLOCK_BYTES;
@@ -516,7 +527,7 @@ impl DramCacheModel for UnisonCache {
                             let d = mem.stacked.access(
                                 tag_known,
                                 Op::Read,
-                                self.data_loc(set, way, offset),
+                                self.data_loc(at, way, offset),
                                 BLOCK_BYTES as u32,
                             );
                             self.stats.stacked_read_bytes += BLOCK_BYTES;
@@ -538,7 +549,7 @@ impl DramCacheModel for UnisonCache {
                         let w = mem.stacked.access(
                             data_ready,
                             Op::Write,
-                            self.data_loc(set, way, offset),
+                            self.data_loc(at, way, offset),
                             BLOCK_BYTES as u32,
                         );
                         self.stats.stacked_write_bytes += BLOCK_BYTES;
@@ -571,7 +582,7 @@ impl DramCacheModel for UnisonCache {
                     let fill = mem.stacked.access(
                         oc.last_data_ps,
                         Op::Write,
-                        self.data_loc(set, way, offset),
+                        self.data_loc(at, way, offset),
                         BLOCK_BYTES as u32,
                     );
                     self.stats.stacked_write_bytes += BLOCK_BYTES;
@@ -637,7 +648,7 @@ impl DramCacheModel for UnisonCache {
                     let way = self.meta.evict_victim(set);
                     let mut evict_done = tag_known;
                     if self.meta.is_valid(set, way) {
-                        evict_done = self.evict(tag_known, set, way, mem);
+                        evict_done = self.evict(tag_known, set, at, way, mem);
                     }
                     // No history => conservative full-page default.
                     let mut fetch =
@@ -645,7 +656,7 @@ impl DramCacheModel for UnisonCache {
                     fetch.insert(offset);
 
                     let (crit, fill_done) =
-                        self.fetch_footprint(tag_known, page, set, way, offset, fetch, mem);
+                        self.fetch_footprint(tag_known, page, at, way, offset, fetch, mem);
 
                     // Install metadata (tag, bit vectors, PC+offset): one
                     // 16 B write riding the write queue with the fills.
@@ -665,8 +676,8 @@ impl DramCacheModel for UnisonCache {
                             offset: offset as u8,
                         },
                     );
-                    if matches!(self.cfg.way_policy, WayPolicy::Predict) {
-                        self.wp.update(page, way.min(3));
+                    if let Some(slot) = wp_slot {
+                        self.wp.update(slot, way.min(3));
                     }
                     self.meta.touch(set, way, 0);
                     self.stats.trigger_misses += 1;
@@ -696,6 +707,14 @@ impl DramCacheModel for UnisonCache {
         self.stats = CacheStats::default();
         self.wp.reset_stats();
     }
+}
+
+/// A set's DRAM row and the columns of its metadata and first page.
+#[derive(Debug, Clone, Copy)]
+struct SetPlace {
+    row: u64,
+    meta_col: u32,
+    data_col: u32,
 }
 
 impl UnisonCache {
@@ -1047,5 +1066,67 @@ mod tests {
             UnisonConfig::new(1 << 30).with_page_blocks(31),
             UnisonConfig::large_pages(1 << 30)
         );
+    }
+
+    /// The placement computed once per access equals the `/` and `%`
+    /// formulas it replaced, for every geometry the experiments build
+    /// (960 B and 1984 B pages, 1-way, 4-way and the multi-row 32-way
+    /// sets) plus page sizes whose sets per row are not powers of two.
+    #[test]
+    fn placement_matches_division_reference() {
+        let shapes = [
+            (15, 4),
+            (31, 4),
+            (15, 1),
+            (15, 32),
+            (31, 32),
+            (3, 4),
+            (7, 2),
+            (63, 1),
+        ];
+        for (blocks, assoc) in shapes {
+            for size in [1u64 << 20, 8 << 20, 96 << 20, 1 << 30, 8 << 30] {
+                let uc = UnisonCache::new(
+                    UnisonConfig::new(size)
+                        .with_page_blocks(blocks)
+                        .with_assoc(assoc),
+                );
+                let l = *uc.layout();
+                let sets = uc.num_sets();
+                assert_eq!(sets, l.num_sets(size));
+                for set in [0, 1, sets / 3, sets / 2 + 1, sets - 1] {
+                    let at = uc.place(set);
+                    for way in 0..assoc {
+                        for block in [0, blocks / 2, blocks - 1] {
+                            let (meta, data) = if l.sets_per_row > 0 {
+                                let spr = u64::from(l.sets_per_row);
+                                let (row, slot) = (set / spr, (set % spr) as u32);
+                                let page_idx = slot * assoc + way;
+                                let col = 16 * assoc * l.sets_per_row
+                                    + page_idx * l.page_bytes() as u32
+                                    + block * 64;
+                                (RowCol::new(row, slot * 16 * assoc), RowCol::new(row, col))
+                            } else {
+                                let col = (u64::from(way % l.pages_per_row) * l.page_bytes()
+                                    + u64::from(block) * 64)
+                                    % (ROW_BYTES - 64);
+                                (RowCol::new(set, 0), RowCol::new(set, col as u32))
+                            };
+                            assert_eq!(uc.meta_loc(at), meta, "{blocks}x{assoc} set {set}");
+                            assert_eq!(
+                                uc.data_loc(at, way, block),
+                                data,
+                                "{blocks}x{assoc} set {set} way {way} block {block}"
+                            );
+                        }
+                    }
+                }
+                for bn in [0, 1, u64::from(blocks), 123_456_789, u64::MAX / 64] {
+                    let page = bn / u64::from(blocks);
+                    assert_eq!(uc.page_div.divmod(bn), (page, bn % u64::from(blocks)));
+                    assert_eq!(uc.set_div.divmod(page), (page / sets, page % sets));
+                }
+            }
+        }
     }
 }

@@ -3,9 +3,32 @@
 use proptest::prelude::*;
 use unison_core::residue::{mod_2n_minus_1, split_page_offset};
 use unison_core::{
-    AlloyCache, AlloyConfig, DramCacheModel, FootprintCache, FootprintConfig, MemPorts, Request,
-    UnisonCache, UnisonConfig,
+    AlloyCache, AlloyConfig, Divisor, DramCacheModel, FootprintCache, FootprintConfig, IdealCache,
+    MemPorts, NoCache, Request, UnisonCache, UnisonConfig,
 };
+
+/// Divisors the property race draws from: 1, powers of two, `2^n − 1`
+/// (page sizes), Alloy's 112 TADs per row, `u64::MAX`, and anything.
+fn divisor() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(1u64),
+        Just(112u64),
+        Just(u64::MAX),
+        (0u32..64).prop_map(|k| 1u64 << k),
+        (1u32..=64).prop_map(|n| u64::MAX >> (64 - n)),
+        1u64..1_000_000,
+        any::<u64>().prop_map(|d| d.max(1)),
+    ]
+}
+
+/// Numerators: arbitrary, small, and the top of the range.
+fn numerator() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        0u64..100_000,
+        (0u64..100_000).prop_map(|k| u64::MAX - k),
+    ]
+}
 
 proptest! {
     /// The residue unit agrees with `%` over the whole address space —
@@ -18,6 +41,28 @@ proptest! {
         } else {
             prop_assert_eq!(mod_2n_minus_1(x, n), 0);
         }
+    }
+
+    /// A precomputed [`Divisor`] equals `/` and `%` for any `u64`
+    /// numerator and divisor.
+    #[test]
+    fn divisor_matches_hardware_division(d in divisor(), n in numerator()) {
+        let div = Divisor::new(d);
+        prop_assert_eq!(div.get(), d);
+        prop_assert_eq!(div.quotient(n), n / d);
+        prop_assert_eq!(div.divmod(n), (n / d, n % d));
+    }
+
+    /// The page split a cache runs per access (a precomputed divisor),
+    /// the §III-A.7 residue unit and plain `/` and `%` agree on every
+    /// block number, for every `2^n − 1` page size.
+    #[test]
+    fn divisor_split_matches_residue_unit(bn in numerator(), n in 1u32..=32) {
+        let m = (1u64 << n) - 1;
+        let (page, off) = split_page_offset(bn, n);
+        prop_assert_eq!((page, u64::from(off)), (bn / m, bn % m));
+        prop_assert_eq!(u64::from(off), mod_2n_minus_1(bn, n));
+        prop_assert_eq!(Divisor::new(m).divmod(bn), (page, u64::from(off)));
     }
 
     /// Page/offset splitting reconstructs the block number for both
@@ -113,6 +158,74 @@ proptest! {
             touch(&mut uc, &mut mem, &mut t, k);
             let a = touch(&mut uc, &mut mem, &mut t, 0);
             prop_assert!(a.hit(), "MRU page 0 evicted after {k} conflicts");
+        }
+    }
+}
+
+/// Every design builds at every preset size (the paper's 128 MB–8 GB and
+/// the same sizes at the experiments' 1/16 and 1/64 scales) and maps
+/// addresses across the whole space: low, high, at the cache size, and
+/// near the top of a 46-bit physical space. Covers the Unison variants
+/// whose locations take different branches: 1984 B pages, 1-way, and the
+/// multi-row 32-way sets (`sets_per_row == 0`).
+#[test]
+fn every_design_builds_and_maps_at_every_preset_size() {
+    const MB: u64 = 1 << 20;
+    let paper = [
+        128 * MB,
+        256 * MB,
+        512 * MB,
+        1024 * MB,
+        2048 * MB,
+        4096 * MB,
+        8192 * MB,
+    ];
+    for nominal in paper {
+        for scale in [1, 16, 64] {
+            let size = nominal / scale;
+            let unison = |cfg: UnisonConfig| Box::new(UnisonCache::new(cfg.with_nominal(nominal)));
+            let designs: Vec<(&str, Box<dyn DramCacheModel>)> = vec![
+                ("alloy", Box::new(AlloyCache::new(AlloyConfig::new(size)))),
+                (
+                    "footprint",
+                    Box::new(FootprintCache::new(
+                        FootprintConfig::new(size).with_nominal(nominal),
+                    )),
+                ),
+                ("unison", unison(UnisonConfig::new(size))),
+                ("unison-1984", unison(UnisonConfig::large_pages(size))),
+                ("unison-1way", unison(UnisonConfig::new(size).with_assoc(1))),
+                (
+                    "unison-32way",
+                    unison(UnisonConfig::new(size).with_assoc(32)),
+                ),
+                ("ideal", Box::new(IdealCache::new(size))),
+                ("nocache", Box::new(NoCache::new())),
+            ];
+            for (name, mut cache) in designs {
+                let mut mem = MemPorts::paper_default();
+                let mut t = 0u64;
+                let addrs = [0, 64, size - 64, size, 3 * size + 4096, (1u64 << 46) - 64];
+                for (i, &addr) in addrs.iter().enumerate() {
+                    let req = Request {
+                        core: (i % 16) as u8,
+                        pc: 0x400,
+                        addr,
+                        is_write: i % 2 == 1,
+                    };
+                    for expect_hit in [false, true] {
+                        let a = cache.access(t, &req, &mut mem);
+                        assert!(a.critical_ps >= t, "{name} @ {size}: time ran backwards");
+                        if expect_hit && name != "nocache" {
+                            assert!(a.hit(), "{name} @ {size}: lost {addr:#x}");
+                        }
+                        t = a.done_ps;
+                    }
+                }
+                let s = cache.stats();
+                assert_eq!(s.accesses, 2 * addrs.len() as u64, "{name} @ {size}");
+                assert_eq!(s.hits + s.misses(), s.accesses, "{name} @ {size}");
+            }
         }
     }
 }

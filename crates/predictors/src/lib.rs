@@ -36,6 +36,6 @@ mod way;
 pub use footprint::{
     EvictionInfo, Footprint, FootprintTable, FpQuality, SingletonEntry, SingletonTable,
 };
-pub use miss::{MissPrediction, MissPredictor};
+pub use miss::{MissPrediction, MissPredictor, MissSlot};
 pub use util::{fold_hash, mix64, SatCounter};
-pub use way::WayPredictor;
+pub use way::{WayPredictor, WaySlot};

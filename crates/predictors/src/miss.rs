@@ -12,6 +12,12 @@ pub enum MissPrediction {
     Miss,
 }
 
+/// A `(core, PC)` pair's counter: the core's table offset plus the mixed
+/// and folded PC hash, computed once per access by
+/// [`MissPredictor::slot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MissSlot(usize);
+
 /// Instruction-based Memory Access Predictor (MAP-I, Qureshi & Loh
 /// MICRO'12), as used by Alloy Cache.
 ///
@@ -22,18 +28,25 @@ pub enum MissPrediction {
 ///
 /// # Example
 ///
+/// A cache hashes each `(core, PC)` once per access with
+/// [`MissPredictor::slot`] and passes the [`MissSlot`] to both calls.
+///
 /// ```
 /// use unison_predictors::{MissPredictor, MissPrediction};
 ///
 /// let mut mp = MissPredictor::paper_default();
+/// let slot = mp.slot(0, 0x400);
 /// // Cold counters predict hit (optimistic: probe the cache).
-/// assert_eq!(mp.predict(0, 0x400), MissPrediction::Hit);
-/// for _ in 0..4 { mp.update(0, 0x400, /*was_hit=*/false); }
-/// assert_eq!(mp.predict(0, 0x400), MissPrediction::Miss);
+/// assert_eq!(mp.predict(slot), MissPrediction::Hit);
+/// for _ in 0..4 { mp.update(slot, /*was_hit=*/false); }
+/// assert_eq!(mp.predict(slot), MissPrediction::Miss);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MissPredictor {
-    tables: Vec<Vec<SatCounter>>,
+    /// All cores' tables back to back: core `c`'s counters are
+    /// `counters[c << index_bits..(c + 1) << index_bits]`.
+    counters: Vec<SatCounter>,
+    cores: u32,
     index_bits: u32,
     lookups: u64,
     correct: u64,
@@ -51,7 +64,8 @@ impl MissPredictor {
         assert!(cores > 0, "need at least one core");
         assert!((1..=16).contains(&index_bits), "index bits must be 1..=16");
         MissPredictor {
-            tables: vec![vec![SatCounter::new(3, 0); 1 << index_bits]; cores as usize],
+            counters: vec![SatCounter::new(3, 0); (cores as usize) << index_bits],
+            cores,
             index_bits,
             lookups: 0,
             correct: 0,
@@ -67,22 +81,27 @@ impl MissPredictor {
 
     /// Storage budget in bytes (3 bits per counter).
     pub fn storage_bytes(&self) -> usize {
-        self.tables.len() * self.tables[0].len() * 3 / 8
+        self.counters.len() * 3 / 8
     }
 
-    fn index(&self, pc: u64) -> usize {
-        fold_hash(mix64(pc), self.index_bits) as usize
-    }
-
-    /// Predicts whether `(core, pc)` will miss the DRAM cache.
+    /// The counter `(core, pc)` maps to.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn predict(&mut self, core: u32, pc: u64) -> MissPrediction {
+    #[inline]
+    pub fn slot(&self, core: u32, pc: u64) -> MissSlot {
+        assert!(core < self.cores, "core {core} out of range");
+        let index = fold_hash(mix64(pc), self.index_bits) as usize;
+        MissSlot(((core as usize) << self.index_bits) | index)
+    }
+
+    /// Predicts whether the access whose counter is `slot` will miss the
+    /// DRAM cache.
+    #[inline]
+    pub fn predict(&mut self, slot: MissSlot) -> MissPrediction {
         self.lookups += 1;
-        let c = &self.tables[core as usize][self.index(pc)];
-        if c.is_high() {
+        if self.counters[slot.0].is_high() {
             MissPrediction::Miss
         } else {
             MissPrediction::Hit
@@ -91,15 +110,14 @@ impl MissPredictor {
 
     /// Trains with the actual outcome and updates accuracy statistics
     /// for the *previous* prediction of this `(core, pc)`.
-    pub fn update(&mut self, core: u32, pc: u64, was_hit: bool) {
-        let idx = self.index(pc);
-        let predicted_miss = self.tables[core as usize][idx].is_high();
-        match (predicted_miss, was_hit) {
+    #[inline]
+    pub fn update(&mut self, slot: MissSlot, was_hit: bool) {
+        let c = &mut self.counters[slot.0];
+        match (c.is_high(), was_hit) {
             (true, true) => self.false_misses += 1,
             (false, false) => self.false_hits += 1,
             _ => self.correct += 1,
         }
-        let c = &mut self.tables[core as usize][idx];
         if was_hit {
             c.dec();
         } else {
@@ -132,25 +150,26 @@ mod tests {
     #[test]
     fn learns_missing_instruction() {
         let mut mp = MissPredictor::new(1, 8);
+        let s = mp.slot(0, 0x1234);
         for _ in 0..8 {
-            mp.update(0, 0x1234, false);
+            mp.update(s, false);
         }
-        assert_eq!(mp.predict(0, 0x1234), MissPrediction::Miss);
+        assert_eq!(mp.predict(s), MissPrediction::Miss);
         // Hits pull it back.
         for _ in 0..8 {
-            mp.update(0, 0x1234, true);
+            mp.update(s, true);
         }
-        assert_eq!(mp.predict(0, 0x1234), MissPrediction::Hit);
+        assert_eq!(mp.predict(s), MissPrediction::Hit);
     }
 
     #[test]
     fn cores_learn_independently() {
         let mut mp = MissPredictor::new(2, 8);
         for _ in 0..8 {
-            mp.update(0, 0x42, false);
+            mp.update(mp.slot(0, 0x42), false);
         }
-        assert_eq!(mp.predict(0, 0x42), MissPrediction::Miss);
-        assert_eq!(mp.predict(1, 0x42), MissPrediction::Hit);
+        assert_eq!(mp.predict(mp.slot(0, 0x42)), MissPrediction::Miss);
+        assert_eq!(mp.predict(mp.slot(1, 0x42)), MissPrediction::Hit);
     }
 
     #[test]
@@ -162,17 +181,25 @@ mod tests {
     #[test]
     fn outcome_stats_classify_errors() {
         let mut mp = MissPredictor::new(1, 8);
+        let s = mp.slot(0, 7);
         // Counter at 0 => predicts hit. An actual miss is a false hit.
-        mp.update(0, 7, false);
+        mp.update(s, false);
         let (_, fm, fh) = mp.outcome_stats();
         assert_eq!((fm, fh), (0, 1));
         // Drive to predict-miss, then observe a hit => false miss.
         for _ in 0..8 {
-            mp.update(0, 7, false);
+            mp.update(s, false);
         }
-        mp.update(0, 7, true);
+        mp.update(s, true);
         let (_, fm, _) = mp.outcome_stats();
         assert_eq!(fm, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "core 2 out of range")]
+    fn out_of_range_core_panics() {
+        let mp = MissPredictor::new(2, 8);
+        let _ = mp.slot(2, 0x400);
     }
 
     #[test]

@@ -2,6 +2,11 @@
 
 use crate::util::fold_hash;
 
+/// A page's way-predictor entry: the XOR-folded page hash, computed once
+/// per access by [`WayPredictor::slot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaySlot(usize);
+
 /// A 2-bit-entry way predictor indexed by an XOR hash of the page
 /// address.
 ///
@@ -14,13 +19,17 @@ use crate::util::fold_hash;
 ///
 /// # Example
 ///
+/// A cache hashes each page once per access with [`WayPredictor::slot`]
+/// and passes the [`WaySlot`] to every call that access makes.
+///
 /// ```
 /// use unison_predictors::WayPredictor;
 ///
 /// let mut wp = WayPredictor::new(12, 4);
-/// assert_eq!(wp.predict(42), 0); // cold entries predict way 0
-/// wp.update(42, 3);
-/// assert_eq!(wp.predict(42), 3);
+/// let slot = wp.slot(42);
+/// assert_eq!(wp.predict(slot), 0); // cold entries predict way 0
+/// wp.update(slot, 3);
+/// assert_eq!(wp.predict(slot), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WayPredictor {
@@ -66,14 +75,18 @@ impl WayPredictor {
         self.entries.len() / 4
     }
 
-    fn index(&self, page_addr: u64) -> usize {
-        fold_hash(page_addr, self.index_bits) as usize
+    /// The entry `page_addr` hashes to (the paper's XOR fold).
+    #[inline]
+    pub fn slot(&self, page_addr: u64) -> WaySlot {
+        WaySlot(fold_hash(page_addr, self.index_bits) as usize)
     }
 
-    /// Predicts the way holding `page_addr`.
-    pub fn predict(&mut self, page_addr: u64) -> u32 {
+    /// Predicts the way of the page whose entry is `slot`. Entries only
+    /// ever hold ways below `ways` (see [`Self::update`]).
+    #[inline]
+    pub fn predict(&mut self, slot: WaySlot) -> u32 {
         self.lookups += 1;
-        u32::from(self.entries[self.index(page_addr)]) % self.ways
+        u32::from(self.entries[slot.0])
     }
 
     /// Records the actual way after the tag check resolves; also feeds
@@ -82,13 +95,12 @@ impl WayPredictor {
     /// # Panics
     ///
     /// Panics if `actual_way >= ways`.
-    pub fn update(&mut self, page_addr: u64, actual_way: u32) {
+    #[inline]
+    pub fn update(&mut self, slot: WaySlot, actual_way: u32) {
         assert!(actual_way < self.ways, "way out of range");
-        let idx = self.index(page_addr);
-        if u32::from(self.entries[idx]) % self.ways == actual_way {
-            self.correct += 1;
-        }
-        self.entries[idx] = actual_way as u8;
+        let entry = &mut self.entries[slot.0];
+        self.correct += u64::from(u32::from(*entry) == actual_way);
+        *entry = actual_way as u8;
     }
 
     /// Resolves a probe: records the way the tag check actually found
@@ -97,10 +109,10 @@ impl WayPredictor {
     /// whether `predicted` was correct. This is the way-predictor side of
     /// the SoA probe loop: `MetaStore::probe_set` produces `actual`, and
     /// the cache feeds its accuracy stats from the returned flag.
-    pub fn observe_probe(&mut self, page_addr: u64, predicted: u32, actual: u32) -> bool {
-        let correct = actual == predicted;
-        self.update(page_addr, actual.min(self.ways - 1));
-        correct
+    #[inline]
+    pub fn observe_probe(&mut self, slot: WaySlot, predicted: u32, actual: u32) -> bool {
+        self.update(slot, actual.min(self.ways - 1));
+        actual == predicted
     }
 
     /// `(lookups, correct)` counts. `correct` increments on `update`
@@ -125,20 +137,22 @@ mod tests {
     #[test]
     fn learns_page_to_way_mapping() {
         let mut wp = WayPredictor::new(12, 4);
-        wp.update(100, 2);
-        assert_eq!(wp.predict(100), 2);
-        wp.update(100, 1);
-        assert_eq!(wp.predict(100), 1);
+        let s = wp.slot(100);
+        wp.update(s, 2);
+        assert_eq!(wp.predict(s), 2);
+        wp.update(s, 1);
+        assert_eq!(wp.predict(s), 1);
     }
 
     #[test]
     fn repeated_page_stream_is_always_correct_after_first() {
         let mut wp = WayPredictor::new(12, 4);
-        wp.update(7, 3);
+        let s = wp.slot(7);
+        wp.update(s, 3);
         wp.reset_stats();
         for _ in 0..100 {
-            let p = wp.predict(7);
-            wp.update(7, 3);
+            let p = wp.predict(s);
+            wp.update(s, 3);
             assert_eq!(p, 3);
         }
         let (l, c) = wp.accuracy_stats();
@@ -162,9 +176,10 @@ mod tests {
         let alias = (1..1000u64)
             .find(|&p| p != a && fold_hash(p, 4) == target)
             .expect("alias exists");
-        wp.update(a, 1);
-        wp.update(alias, 2);
-        assert_eq!(wp.predict(a), 2, "alias clobbered the entry");
+        assert_eq!(wp.slot(a), wp.slot(alias));
+        wp.update(wp.slot(a), 1);
+        wp.update(wp.slot(alias), 2);
+        assert_eq!(wp.predict(wp.slot(a)), 2, "alias clobbered the entry");
     }
 
     #[test]
@@ -178,15 +193,15 @@ mod tests {
     #[test]
     fn direct_mapped_cache_always_predicts_zero() {
         let mut wp = WayPredictor::new(12, 1);
-        wp.update(5, 0);
-        assert_eq!(wp.predict(5), 0);
-        assert_eq!(wp.predict(6), 0);
+        wp.update(wp.slot(5), 0);
+        assert_eq!(wp.predict(wp.slot(5)), 0);
+        assert_eq!(wp.predict(wp.slot(6)), 0);
     }
 
     #[test]
     #[should_panic(expected = "way out of range")]
     fn update_with_bad_way_panics() {
         let mut wp = WayPredictor::new(12, 4);
-        wp.update(0, 4);
+        wp.update(wp.slot(0), 4);
     }
 }

@@ -1,7 +1,9 @@
 //! Property-based tests for the predictor structures.
 
 use proptest::prelude::*;
-use unison_predictors::{fold_hash, Footprint, FootprintTable, MissPredictor, WayPredictor};
+use unison_predictors::{
+    fold_hash, mix64, Footprint, FootprintTable, MissPrediction, MissPredictor, WayPredictor,
+};
 
 proptest! {
     /// Footprint set algebra obeys the identities the under/over-
@@ -77,8 +79,8 @@ proptest! {
         let mut wp = WayPredictor::new(12, 4);
         for (i, &p) in pages.iter().enumerate() {
             let w = (i as u32) % 4;
-            wp.update(p, w);
-            prop_assert_eq!(wp.predict(p), w);
+            wp.update(wp.slot(p), w);
+            prop_assert_eq!(wp.predict(wp.slot(p)), w);
         }
     }
 
@@ -87,15 +89,181 @@ proptest! {
     #[test]
     fn miss_predictor_is_bounded(outcomes in proptest::collection::vec(any::<bool>(), 1..200)) {
         let mut mp = MissPredictor::new(1, 4);
+        let s = mp.slot(0, 0xabc);
         for &hit in &outcomes {
-            mp.update(0, 0xabc, hit);
-            let _ = mp.predict(0, 0xabc);
+            mp.update(s, hit);
+            let _ = mp.predict(s);
         }
         // All-hits must end in Hit prediction; all-misses in Miss.
         let mut all_hit = MissPredictor::new(1, 4);
+        let s = all_hit.slot(0, 0xabc);
         for _ in 0..outcomes.len() {
-            all_hit.update(0, 0xabc, true);
+            all_hit.update(s, true);
         }
-        prop_assert_eq!(all_hit.predict(0, 0xabc), unison_predictors::MissPrediction::Hit);
+        prop_assert_eq!(all_hit.predict(s), MissPrediction::Hit);
+    }
+
+    /// The hash-once way predictor makes the same predictions, keeps the
+    /// same accuracy counts and leaves the same table as a reference that
+    /// hashes the page on every call and takes `% ways` on every read, the
+    /// way the predictor worked before slots. Each step is one Unison
+    /// access: predict, then either resolve a probe or train the way a
+    /// new page was installed in.
+    #[test]
+    fn way_predictor_matches_two_hash_reference(
+        bits in 1u32..=14,
+        ways in 1u32..=4,
+        steps in proptest::collection::vec((any::<u64>(), 0u64..64, 0u32..8, any::<bool>()), 1..300),
+    ) {
+        let mut wp = WayPredictor::new(bits, ways);
+        let mut naive = NaiveWay::new(bits, ways);
+        for (raw, small, way, probe) in steps {
+            // Mix arbitrary pages with a few hot ones so entries repeat.
+            let page = if raw % 2 == 0 { raw } else { small };
+            let slot = wp.slot(page);
+            let predicted = wp.predict(slot);
+            prop_assert_eq!(predicted, naive.predict(page));
+            if probe {
+                // A probe may find any way of a wider cache.
+                prop_assert_eq!(
+                    wp.observe_probe(slot, predicted, way),
+                    naive.observe_probe(page, predicted, way)
+                );
+            } else {
+                let way = way % ways;
+                wp.update(slot, way);
+                naive.update(page, way);
+            }
+            prop_assert_eq!(wp.accuracy_stats(), naive.accuracy_stats());
+        }
+        for page in 0..256u64 {
+            prop_assert_eq!(wp.predict(wp.slot(page)), naive.predict(page));
+        }
+    }
+
+    /// The flat, hash-once miss predictor matches a reference with one
+    /// table per core that mixes and folds the PC in both `predict` and
+    /// `update`: same predictions and the same outcome counts, on random
+    /// (core, PC, outcome) streams.
+    #[test]
+    fn miss_predictor_matches_two_hash_reference(
+        cores in 1u32..=16,
+        bits in 1u32..=10,
+        steps in proptest::collection::vec((any::<u32>(), any::<u64>(), 0u64..16, any::<bool>()), 1..300),
+    ) {
+        let mut mp = MissPredictor::new(cores, bits);
+        let mut naive = NaiveMiss::new(cores, bits);
+        for (core, raw, small, was_hit) in steps {
+            let core = core % cores;
+            let pc = if raw % 2 == 0 { raw } else { 0x400 + small };
+            let slot = mp.slot(core, pc);
+            prop_assert_eq!(mp.predict(slot), naive.predict(core, pc));
+            mp.update(slot, was_hit);
+            naive.update(core, pc, was_hit);
+            prop_assert_eq!(mp.outcome_stats(), naive.outcome_stats());
+        }
+        for core in 0..cores {
+            for pc in 0x400..0x410u64 {
+                prop_assert_eq!(mp.predict(mp.slot(core, pc)), naive.predict(core, pc));
+            }
+        }
+    }
+}
+
+/// The way predictor as it was before slots: every call hashes the page
+/// and reads the entry modulo the way count.
+struct NaiveWay {
+    entries: Vec<u8>,
+    bits: u32,
+    ways: u32,
+    lookups: u64,
+    correct: u64,
+}
+
+impl NaiveWay {
+    fn new(bits: u32, ways: u32) -> Self {
+        NaiveWay {
+            entries: vec![0; 1 << bits],
+            bits,
+            ways,
+            lookups: 0,
+            correct: 0,
+        }
+    }
+
+    fn index(&self, page: u64) -> usize {
+        fold_hash(page, self.bits) as usize
+    }
+
+    fn predict(&mut self, page: u64) -> u32 {
+        self.lookups += 1;
+        u32::from(self.entries[self.index(page)]) % self.ways
+    }
+
+    fn update(&mut self, page: u64, way: u32) {
+        assert!(way < self.ways);
+        let idx = self.index(page);
+        if u32::from(self.entries[idx]) % self.ways == way {
+            self.correct += 1;
+        }
+        self.entries[idx] = way as u8;
+    }
+
+    fn observe_probe(&mut self, page: u64, predicted: u32, actual: u32) -> bool {
+        self.update(page, actual.min(self.ways - 1));
+        actual == predicted
+    }
+
+    fn accuracy_stats(&self) -> (u64, u64) {
+        (self.lookups, self.correct)
+    }
+}
+
+/// The miss predictor as it was before slots: one `Vec` of 3-bit
+/// counters per core, and `mix64` + `fold_hash` in every call.
+struct NaiveMiss {
+    tables: Vec<Vec<u8>>,
+    bits: u32,
+    outcomes: (u64, u64, u64),
+}
+
+impl NaiveMiss {
+    fn new(cores: u32, bits: u32) -> Self {
+        NaiveMiss {
+            tables: vec![vec![0; 1 << bits]; cores as usize],
+            bits,
+            outcomes: (0, 0, 0),
+        }
+    }
+
+    fn index(&self, pc: u64) -> usize {
+        fold_hash(mix64(pc), self.bits) as usize
+    }
+
+    fn predict(&self, core: u32, pc: u64) -> MissPrediction {
+        if self.tables[core as usize][self.index(pc)] > 3 {
+            MissPrediction::Miss
+        } else {
+            MissPrediction::Hit
+        }
+    }
+
+    fn update(&mut self, core: u32, pc: u64, was_hit: bool) {
+        let idx = self.index(pc);
+        let c = &mut self.tables[core as usize][idx];
+        match (*c > 3, was_hit) {
+            (true, true) => self.outcomes.1 += 1,
+            (false, false) => self.outcomes.2 += 1,
+            _ => self.outcomes.0 += 1,
+        }
+        *c = if was_hit {
+            c.saturating_sub(1)
+        } else {
+            (*c + 1).min(7)
+        };
+    }
+
+    fn outcome_stats(&self) -> (u64, u64, u64) {
+        self.outcomes
     }
 }

@@ -79,12 +79,15 @@ impl CoreParams {
 /// record is an exact shift: the gap converts to `f64` exactly and
 /// dividing by a power of two only moves the exponent. Other IPCs keep
 /// the division. Results equal `compute_ps` bit for bit (property-tested
-/// below).
+/// below). The overlap window is converted to picoseconds here too, once
+/// per system rather than once per load.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GapTiming {
     /// `log2(ipc_base)` when the shift form applies.
     shift: Option<u32>,
     ipc_base: f64,
+    /// [`CoreParams::overlap_ps`].
+    pub(crate) overlap_ps: Ps,
 }
 
 impl GapTiming {
@@ -97,6 +100,7 @@ impl GapTiming {
         GapTiming {
             shift,
             ipc_base: ipc,
+            overlap_ps: params.overlap_ps(),
         }
     }
 
@@ -151,10 +155,11 @@ impl CoreClock {
     }
 
     /// Applies the stall of a load whose data arrives at `ready_ps`,
-    /// given it issued at `issue_ps`.
-    pub fn apply_load(&mut self, params: &CoreParams, issue_ps: Ps, ready_ps: Ps) {
+    /// given it issued at `issue_ps`, under an out-of-order window of
+    /// `overlap_ps` ([`CoreParams::overlap_ps`]).
+    pub fn apply_load(&mut self, overlap_ps: Ps, issue_ps: Ps, ready_ps: Ps) {
         let latency = ready_ps.saturating_sub(issue_ps);
-        let stall = latency.saturating_sub(params.overlap_ps());
+        let stall = latency.saturating_sub(overlap_ps);
         self.time_ps += stall;
         self.stall_ps += stall;
     }
@@ -185,7 +190,7 @@ mod tests {
         let mut c = CoreClock::default();
         let issue = c.advance_compute(&p, 100);
         // Data ready within the overlap window: no stall.
-        c.apply_load(&p, issue, issue + p.overlap_ps() / 2);
+        c.apply_load(p.overlap_ps(), issue, issue + p.overlap_ps() / 2);
         assert_eq!(c.stall_ps, 0);
     }
 
@@ -195,7 +200,7 @@ mod tests {
         let mut c = CoreClock::default();
         let issue = c.advance_compute(&p, 100);
         let ready = issue + p.overlap_ps() + 10_000;
-        c.apply_load(&p, issue, ready);
+        c.apply_load(p.overlap_ps(), issue, ready);
         assert_eq!(c.stall_ps, 10_000);
         assert_eq!(c.time_ps, issue + 10_000);
     }

@@ -486,7 +486,7 @@ impl<C: DramCacheModel> System<C> {
             };
             let access = self.cache.access(t, &req, &mut self.mem);
             if !req.is_write || self.params.stall_on_stores {
-                self.cores[c].apply_load(&self.params, t, access.critical_ps);
+                self.cores[c].apply_load(self.gap.overlap_ps, t, access.critical_ps);
             }
             consumed += 1;
 
@@ -637,7 +637,7 @@ mod tests {
             };
             let access = sys.cache.access(issue, &req, &mut sys.mem);
             if !req.is_write || sys.params.stall_on_stores {
-                sys.cores[c].apply_load(&sys.params, issue, access.critical_ps);
+                sys.cores[c].apply_load(sys.params.overlap_ps(), issue, access.critical_ps);
             }
             consumed += 1;
 
