@@ -258,6 +258,8 @@ fn bench_dram(c: &mut Criterion) {
 /// ACT/PRE slow path). The nightly equivalence assertion
 /// (`fast_access_beats_reference_on_row_hits` in
 /// `crates/dram/tests/model_properties.rs`) pins the row-hit win ≥1.15×.
+/// `access_reference` exists only under the dram crate's `reference`
+/// feature, which this crate's dev-dependency turns on.
 fn bench_dram_access(c: &mut Criterion) {
     let mut g = c.benchmark_group("dram_access");
     g.throughput(Throughput::Elements(1));
@@ -292,6 +294,24 @@ fn bench_dram_access(c: &mut Criterion) {
     // alternate between two rows (pure conflicts).
     let banks = u64::from(cfg.total_banks());
     for (label, rows) in [("row_hit", banks), ("conflict", banks * 2)] {
+        // Both paths must agree bit for bit on the timed stream before
+        // either is timed.
+        let (mut fast, mut reference) = (DramModel::new(cfg.clone()), DramModel::new(cfg.clone()));
+        for i in 1..=4096u64 {
+            let rc = RowCol::new(i % rows, ((i * 64) % 8192) as u32);
+            let now = i * 2_500;
+            assert_eq!(
+                fast.access(now, Op::Read, rc, 64),
+                reference.access_reference(now, Op::Read, rc, 64),
+                "{label}: fast path diverged from the reference at access {i}"
+            );
+        }
+        assert_eq!(fast.stats(), reference.stats(), "{label}: stats diverged");
+        assert_eq!(
+            fast.energy(),
+            reference.energy(),
+            "{label}: energy diverged"
+        );
         g.bench_function(&format!("access_{label}_fast"), |b| {
             let mut d = DramModel::new(cfg.clone());
             let (mut now, mut i) = (0u64, 0u64);

@@ -11,9 +11,13 @@ use crate::time::Ps;
 /// these horizons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BankState {
-    /// Row currently latched in the row buffer, if any.
+    /// Row currently latched in the row buffer, if any. A bank is never
+    /// closed once activated (a conflict precharges and reopens it in one
+    /// step), so this is also the "has ever activated" flag that gates
+    /// the `tRC` constraint.
     pub open_row: Option<u64>,
-    /// When the open row's ACT command issued.
+    /// When the open row's ACT command issued; meaningful once
+    /// `open_row` is set.
     pub act_at: Ps,
     /// Earliest time a PRE may issue (covers `tRAS`, `tRTP`, `tWR`).
     pub earliest_pre: Ps,
@@ -22,9 +26,24 @@ pub struct BankState {
     pub earliest_act: Ps,
     /// Earliest time a CAS to the open row may issue (covers `tRCD`).
     pub earliest_cas: Ps,
-    /// Whether this bank has ever activated a row. `act_at` and the `tRC`
-    /// constraint are only meaningful once this is set.
-    pub activated_once: bool,
+}
+
+/// The timing-relevant state one rank shares across its banks: the
+/// activation throttles (`tRRD`, `tFAW`) and the write-to-read
+/// turnaround (`tWTR`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct RankState {
+    /// Time of the most recent ACT (for `tRRD`).
+    pub(crate) last_act: Ps,
+    /// Ring buffer of the last four ACT times (for `tFAW`); `faw_idx`
+    /// names the oldest, the next to overwrite.
+    pub(crate) faw: [Ps; 4],
+    pub(crate) faw_idx: usize,
+    /// ACTs issued so far; `tRRD` applies after the first, `tFAW` after
+    /// the fourth.
+    pub(crate) act_count: u64,
+    /// Earliest read CAS after a write burst (for `tWTR`).
+    pub(crate) wtr_ready: Ps,
 }
 
 impl BankState {

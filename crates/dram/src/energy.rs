@@ -4,7 +4,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::EnergyParams;
 
-/// Raw dynamic-event counters maintained by a [`crate::DramModel`].
+/// Raw dynamic-event counters of a [`crate::DramModel`]. The command and
+/// activation counts are the device's [`crate::DramStats`] read another
+/// way; [`crate::DramModel::energy`] derives them on demand.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EnergyCounters {
     /// Row activations (each implies a matching precharge).

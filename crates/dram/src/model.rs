@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::address::{FlatRoute, Location, RouteMap, RowCol};
-use crate::bank::BankState;
+use crate::bank::{BankState, RankState};
 use crate::config::DramConfig;
 use crate::energy::EnergyCounters;
 use crate::time::Ps;
@@ -154,30 +154,28 @@ impl TimingTable {
 /// Construction precomputes two fast-path tables: a [`RouteMap`]
 /// (shift/mask routing, present whenever the geometry is power-of-two —
 /// true for every preset) and a [`TimingTable`] (clock multiplies and
-/// burst `div_ceil`s paid once). [`Self::access`] runs on those tables;
-/// [`Self::access_reference`] retains the original div/mod + multiply
-/// path, both as the non-pow2 routing fallback and as the executable
-/// reference the property suite races bit-for-bit.
+/// burst `div_ceil`s paid once). [`Self::access`] runs on those tables,
+/// falling back to the div/mod routing for other geometries. With the
+/// `reference` feature, `access_reference` retains the original div/mod +
+/// multiply path as the executable reference the property suite races
+/// bit-for-bit.
+///
+/// Each counter is kept once: the energy model's command and activation
+/// counts are the [`DramStats`] counts, so [`Self::energy`] derives them
+/// and the device itself only adds up the bytes moved.
 #[derive(Debug, Clone)]
 pub struct DramModel {
     cfg: DramConfig,
     route: Option<RouteMap>,
     timing: TimingTable,
     banks: Vec<BankState>,
+    ranks: Vec<RankState>,
     /// Per-channel data bus busy-until horizon.
     bus_free: Vec<Ps>,
-    /// Per-rank time of the most recent ACT (for `tRRD`).
-    rank_last_act: Vec<Ps>,
-    /// Per-rank ring buffer of the last four ACT times (for `tFAW`).
-    rank_faw: Vec<[Ps; 4]>,
-    rank_faw_idx: Vec<usize>,
-    /// Per-rank count of ACTs issued so far; `tRRD` applies after the
-    /// first, `tFAW` after the fourth.
-    rank_act_count: Vec<u64>,
-    /// Per-rank earliest read CAS after a write burst (for `tWTR`).
-    rank_wtr_ready: Vec<Ps>,
-    counters: EnergyCounters,
     stats: DramStats,
+    /// Bytes moved out of and into the device since the last reset.
+    bytes_read: u64,
+    bytes_written: u64,
 }
 
 impl DramModel {
@@ -192,14 +190,11 @@ impl DramModel {
             route,
             timing,
             banks: vec![BankState::new(); n_banks],
+            ranks: vec![RankState::default(); n_ranks],
             bus_free: vec![0; n_ch],
-            rank_last_act: vec![0; n_ranks],
-            rank_faw: vec![[0; 4]; n_ranks],
-            rank_faw_idx: vec![0; n_ranks],
-            rank_act_count: vec![0; n_ranks],
-            rank_wtr_ready: vec![0; n_ranks],
-            counters: EnergyCounters::default(),
             stats: DramStats::default(),
+            bytes_read: 0,
+            bytes_written: 0,
             cfg,
         }
     }
@@ -232,9 +227,17 @@ impl DramModel {
         &self.cfg
     }
 
-    /// Dynamic-energy counters accumulated so far.
-    pub fn energy(&self) -> &EnergyCounters {
-        &self.counters
+    /// Dynamic-energy counters accumulated since the last
+    /// [`Self::reset_stats`]: every access is one column command, and
+    /// every row-empty or conflicting access one activation.
+    pub fn energy(&self) -> EnergyCounters {
+        EnergyCounters {
+            activations: self.stats.row_empty + self.stats.row_conflicts,
+            read_cmds: self.stats.reads,
+            write_cmds: self.stats.writes,
+            bytes_read: self.bytes_read,
+            bytes_written: self.bytes_written,
+        }
     }
 
     /// Access statistics accumulated since the last [`Self::reset_stats`].
@@ -245,8 +248,9 @@ impl DramModel {
     /// Clears statistics and energy counters but *keeps* all timing state
     /// (open rows, horizons) — used at the warmup/measurement boundary.
     pub fn reset_stats(&mut self) {
-        self.counters = EnergyCounters::default();
         self.stats = DramStats::default();
+        self.bytes_read = 0;
+        self.bytes_written = 0;
     }
 
     /// Earliest time the data bus of the channel serving `row` frees up.
@@ -270,9 +274,9 @@ impl DramModel {
     /// is a premultiplied picosecond constant, and burst durations come
     /// from a per-beat-count lookup table. The common case — a row hit —
     /// runs straight through without touching the ACT/PRE/`tFAW` machinery
-    /// in [`Self::activate`]. Bit-identical to [`Self::access_reference`]
-    /// (pinned by `crates/dram/tests/model_properties.rs` across presets,
-    /// both ops, and non-pow2 fallback geometry).
+    /// in [`Self::activate`]. Bit-identical to `access_reference` (pinned
+    /// by `crates/dram/tests/model_properties.rs` across presets, both
+    /// ops, and non-pow2 fallback geometry).
     ///
     /// # Panics
     ///
@@ -302,7 +306,7 @@ impl DramModel {
 
         // Write-to-read turnaround within the rank.
         if is_read {
-            cas_ready = cas_ready.max(self.rank_wtr_ready[rank_idx]);
+            cas_ready = cas_ready.max(self.ranks[rank_idx].wtr_ready);
         }
 
         let t = &self.timing;
@@ -330,24 +334,21 @@ impl DramModel {
             b.earliest_pre = b.earliest_pre.max(b.act_at + ras_ps).max(pre_after);
         }
         if !is_read {
-            self.rank_wtr_ready[rank_idx] = data_end + wtr_ps;
+            self.ranks[rank_idx].wtr_ready = data_end + wtr_ps;
         }
 
-        // Statistics and energy; the hit/empty/conflict classification is
+        // Statistics; the hit/empty/conflict classification is
         // branchless (the three counts are disjoint indicator sums).
         if is_read {
             self.stats.reads += 1;
-            self.counters.read_cmds += 1;
-            self.counters.bytes_read += u64::from(bytes);
+            self.bytes_read += u64::from(bytes);
         } else {
             self.stats.writes += 1;
-            self.counters.write_cmds += 1;
-            self.counters.bytes_written += u64::from(bytes);
+            self.bytes_written += u64::from(bytes);
         }
         self.stats.row_hits += u64::from(row_hit);
         self.stats.row_conflicts += u64::from(conflict);
         self.stats.row_empty += u64::from(!row_hit && !conflict);
-        self.counters.activations += u64::from(activated);
         self.stats.bus_busy_ps += burst;
 
         // First beat completes after half a device clock (one DDR beat).
@@ -372,53 +373,50 @@ impl DramModel {
         let (rp_ps, rrd_ps, faw_ps, rc_ps, rcd_ps) =
             (t.rp_ps, t.rrd_ps, t.faw_ps, t.rc_ps, t.rcd_ps);
         let bank = self.banks[bank_idx];
-        let mut conflict = false;
-        let after_pre = if bank.open_row.is_some() {
-            conflict = true;
+        // An open row is a conflict: precharge it first. Only a bank that
+        // has activated before has a row open, and only then does the
+        // same-bank ACT-to-ACT constraint (tRC) apply.
+        let conflict = bank.open_row.is_some();
+        let (after_pre, rc_ready) = if conflict {
             let pre_at = now.max(bank.earliest_pre);
-            pre_at + rp_ps
+            (pre_at + rp_ps, bank.act_at + rc_ps)
         } else {
-            now.max(bank.earliest_act)
+            (now.max(bank.earliest_act), 0)
         };
         // Rank-level activation throttles: tRRD after the first ACT,
         // tFAW once four ACTs have happened in the window.
-        let acts_so_far = self.rank_act_count[rank_idx];
-        let rrd_ready = if acts_so_far >= 1 {
-            self.rank_last_act[rank_idx] + rrd_ps
+        let rank = &mut self.ranks[rank_idx];
+        let rrd_ready = if rank.act_count >= 1 {
+            rank.last_act + rrd_ps
         } else {
             0
         };
-        let faw_ready = if acts_so_far >= 4 {
-            self.rank_faw[rank_idx][self.rank_faw_idx[rank_idx]] + faw_ps
-        } else {
-            0
-        };
-        // Same-bank ACT-to-ACT (tRC).
-        let rc_ready = if bank.activated_once {
-            bank.act_at + rc_ps
+        let faw_ready = if rank.act_count >= 4 {
+            rank.faw[rank.faw_idx] + faw_ps
         } else {
             0
         };
         let act_at = after_pre.max(rrd_ready).max(faw_ready).max(rc_ready);
 
+        rank.last_act = act_at;
+        rank.faw[rank.faw_idx] = act_at;
+        rank.faw_idx = (rank.faw_idx + 1) % 4;
+        rank.act_count += 1;
         let b = &mut self.banks[bank_idx];
         b.open_row = Some(row);
         b.act_at = act_at;
-        b.activated_once = true;
         b.earliest_act = act_at + rc_ps;
-        self.rank_last_act[rank_idx] = act_at;
-        self.rank_faw[rank_idx][self.rank_faw_idx[rank_idx]] = act_at;
-        self.rank_faw_idx[rank_idx] = (self.rank_faw_idx[rank_idx] + 1) % 4;
-        self.rank_act_count[rank_idx] += 1;
         (act_at + rcd_ps, conflict)
     }
 
-    /// [`Self::access`] on the original div/mod + multiply path,
-    /// retained verbatim: [`Location::route`] divides out the geometry,
-    /// every constraint re-multiplies its clock count, and the burst
-    /// duration recomputes its `div_ceil`s. Performs the identical state
-    /// transition — the executable reference the property suite and the
-    /// `dram_access` microbench group race the fast path against.
+    /// [`Self::access`] on the original div/mod + multiply path:
+    /// [`Location::route`] divides out the geometry, every constraint
+    /// re-multiplies its clock count, and the burst duration recomputes
+    /// its `div_ceil`s. Performs the identical state transition — the
+    /// executable reference the property suite and the `dram_access`
+    /// microbench group race the fast path against. Compiled only for
+    /// tests and under the `reference` feature.
+    #[cfg(any(test, feature = "reference"))]
     pub fn access_reference(&mut self, now: Ps, op: Op, rc: RowCol, bytes: u32) -> Completion {
         debug_assert!(
             rc.col_byte + bytes <= self.cfg.row_bytes,
@@ -450,19 +448,19 @@ impl DramModel {
             };
             // Rank-level activation throttles: tRRD after the first ACT,
             // tFAW once four ACTs have happened in the window.
-            let acts_so_far = self.rank_act_count[rank_idx];
-            let rrd_ready = if acts_so_far >= 1 {
-                self.rank_last_act[rank_idx] + clocks(t.t_rrd)
+            let rank = self.ranks[rank_idx];
+            let rrd_ready = if rank.act_count >= 1 {
+                rank.last_act + clocks(t.t_rrd)
             } else {
                 0
             };
-            let faw_ready = if acts_so_far >= 4 {
-                self.rank_faw[rank_idx][self.rank_faw_idx[rank_idx]] + clocks(t.t_faw)
+            let faw_ready = if rank.act_count >= 4 {
+                rank.faw[rank.faw_idx] + clocks(t.t_faw)
             } else {
                 0
             };
-            // Same-bank ACT-to-ACT (tRC).
-            let rc_ready = if bank.activated_once {
+            // Same-bank ACT-to-ACT (tRC), once the bank has activated.
+            let rc_ready = if bank.open_row.is_some() {
                 bank.act_at + clocks(t.t_rc)
             } else {
                 0
@@ -472,12 +470,12 @@ impl DramModel {
             let b = &mut self.banks[bank_idx];
             b.open_row = Some(rc.row);
             b.act_at = act_at;
-            b.activated_once = true;
             b.earliest_act = act_at + clocks(t.t_rc);
-            self.rank_last_act[rank_idx] = act_at;
-            self.rank_faw[rank_idx][self.rank_faw_idx[rank_idx]] = act_at;
-            self.rank_faw_idx[rank_idx] = (self.rank_faw_idx[rank_idx] + 1) % 4;
-            self.rank_act_count[rank_idx] += 1;
+            let r = &mut self.ranks[rank_idx];
+            r.last_act = act_at;
+            r.faw[r.faw_idx] = act_at;
+            r.faw_idx = (r.faw_idx + 1) % 4;
+            r.act_count += 1;
             activated = true;
 
             act_at + clocks(t.t_rcd)
@@ -485,7 +483,7 @@ impl DramModel {
 
         // Write-to-read turnaround within the rank.
         if op == Op::Read {
-            cas_ready = cas_ready.max(self.rank_wtr_ready[rank_idx]);
+            cas_ready = cas_ready.max(self.ranks[rank_idx].wtr_ready);
         }
 
         let cmd_to_data = match op {
@@ -515,20 +513,18 @@ impl DramModel {
                 .max(pre_after);
         }
         if op == Op::Write {
-            self.rank_wtr_ready[rank_idx] = data_end + clocks(t.t_wtr);
+            self.ranks[rank_idx].wtr_ready = data_end + clocks(t.t_wtr);
         }
 
-        // Statistics and energy.
+        // Statistics.
         match op {
             Op::Read => {
                 self.stats.reads += 1;
-                self.counters.read_cmds += 1;
-                self.counters.bytes_read += u64::from(bytes);
+                self.bytes_read += u64::from(bytes);
             }
             Op::Write => {
                 self.stats.writes += 1;
-                self.counters.write_cmds += 1;
-                self.counters.bytes_written += u64::from(bytes);
+                self.bytes_written += u64::from(bytes);
             }
         }
         if row_hit {
@@ -537,9 +533,6 @@ impl DramModel {
             self.stats.row_conflicts += 1;
         } else {
             self.stats.row_empty += 1;
-        }
-        if activated {
-            self.counters.activations += 1;
         }
         self.stats.bus_busy_ps += burst;
 

@@ -15,6 +15,10 @@
 //! shift/mask `RouteMap` and premultiplied timing tables are live) plus a
 //! deliberately non-pow2 geometry that forces the div/mod routing
 //! fallback and the `burst_ps` recompute fallback inside the fast path.
+//!
+//! `access_reference` is not part of the release API: it compiles under
+//! the crate's `reference` feature, which the crate's dev-dependency on
+//! itself turns on for these tests.
 
 use proptest::prelude::*;
 use unison_dram::{Completion, DramConfig, DramModel, DramPreset, Op, RouteMap, RowCol};

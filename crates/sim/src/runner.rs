@@ -596,8 +596,8 @@ fn drive_cache<C: DramCacheModel, S: RecordSource>(
         cache: *cache.stats(),
         stacked: *mem.stacked.stats(),
         offchip: *mem.offchip.stats(),
-        stacked_energy: *mem.stacked.energy(),
-        offchip_energy: *mem.offchip.energy(),
+        stacked_energy: mem.stacked.energy(),
+        offchip_energy: mem.offchip.energy(),
     }
 }
 
