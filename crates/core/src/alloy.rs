@@ -106,7 +106,6 @@ impl AlloyCache {
     /// Fills `tad` with `tag`, writing back the old occupant if dirty.
     /// The victim's data already streamed out with the probe TAD read, so
     /// the writeback is a single off-chip write.
-    #[allow(clippy::too_many_arguments)]
     fn fill(
         &mut self,
         now: Ps,

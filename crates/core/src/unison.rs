@@ -18,9 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 use unison_dram::{cpu_cycles_to_ps, Op, Ps, RowCol};
-use unison_predictors::{
-    Footprint, FootprintTable, SingletonEntry, SingletonTable, WayPredictor, WaySlot,
-};
+use unison_predictors::{Footprint, FootprintTable, SingletonEntry, SingletonTable, WayPredictor};
 
 use crate::divisor::Divisor;
 use crate::layout::{unison_tag_read_bytes, UnisonRowLayout, ROW_BYTES};
@@ -444,8 +442,7 @@ impl DramCacheModel for UnisonCache {
         // Way prediction happens in the DRAM controller, off the critical
         // path (§III-A.6). The page hashes once; the probe result and any
         // install train the same entry.
-        let wp_slot: Option<WaySlot> =
-            matches!(self.cfg.way_policy, WayPolicy::Predict).then(|| self.wp.slot(page));
+        let wp_slot = matches!(self.cfg.way_policy, WayPolicy::Predict).then(|| self.wp.slot(page));
         let predicted_way = wp_slot.map_or(0, |slot| self.wp.predict(slot));
 
         // Metadata read: the tags + bit vectors of all ways (32 B for
