@@ -10,8 +10,9 @@
 //! a few hundred gates, as in Alloy Cache). This module implements exactly
 //! that digit-summing network, [`mod_2n_minus_1`], as the model of the
 //! hardware unit, and property-tests it against `%`. The simulator needs
-//! only the unit's exact result, so its per-access split,
-//! [`split_page_offset`], divides with a precomputed [`Divisor`] instead.
+//! only the unit's exact result, so a cache splits each access with a
+//! [`Divisor`] it precomputes once, as [`split_page_offset`] does per
+//! call.
 
 use crate::divisor::Divisor;
 
