@@ -25,9 +25,10 @@
 //! baselines entirely. All shared bench flags (`--scale`, `--seed`,
 //! `--threads`, `--quick`, `--journal`/`--resume`, sinks) apply.
 //!
-//! **Sharding.** `--shard I/N` (1-based) runs only the cells whose
-//! stable `CellKey` lands in shard `I` of a deterministic `N`-way
-//! partition and writes a shard-output file to `--json` (required).
+//! **Sharding.** `--shard I/N` (1-based) runs only shard `I` of the
+//! plan's deterministic `N`-way partition (cells LPT-packed by predicted
+//! cost, so the shards finish at about the same time) and writes a
+//! shard-output file to `--json` (required).
 //! `--merge shard-*.json` re-lowers the same grid, verifies every shard
 //! file against the plan (fingerprint + complete, disjoint coverage),
 //! and renders the merged campaign exactly as an unsharded run would —
@@ -43,18 +44,8 @@
 //! exactly as an unsharded run; on degradation the run finishes with a
 //! partial result, a manifest naming every missing cell
 //! (`manifest.json` in `--orchestrate-dir`), and exit status 1.
-//!
-//! **Adaptive scheduling.** `--costs FILE` loads a per-cell cost model
-//! (learned wall times with a structural prior for never-seen cells)
-//! that orders cells longest-first inside a run and, with
-//! `--partition balanced`, replaces the blind `key % N` worker split
-//! with deterministic LPT bin-packing so every shard finishes at about
-//! the same time. Scheduling never changes output: canonical results
-//! stay byte-identical. A complete run folds its measured wall times
-//! back into the file; `--orchestrate` snapshots the model into its
-//! scratch dir so parent and workers always agree on the partition.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
 
 use unison_bench::table::{pct, size_label, speedup};
@@ -63,9 +54,8 @@ use unison_core::WayPolicy;
 use unison_dram::DramPreset;
 use unison_harness::telemetry::fmt_ns;
 use unison_harness::{
-    merge_shards, orchestrator, BalancedExecutor, CampaignResult, CellKey, CostModel,
-    OrchestrateOutcome, OrchestratorConfig, ScenarioGrid, ShardOutput, ShardSpec, TaskPlan,
-    WorkerLaunch,
+    merge_shards, orchestrator, CampaignResult, CellKey, OrchestrateOutcome, OrchestratorConfig,
+    ScenarioGrid, ShardOutput, ShardSpec, TaskPlan, WorkerLaunch,
 };
 use unison_sim::{scenarios_from_json, Design, Scenario, SystemSpec};
 use unison_trace::{workloads, WorkloadSpec};
@@ -84,8 +74,6 @@ struct SweepArgs {
     orchestrate_dir: Option<PathBuf>,
     max_restarts: u32,
     skip_cells: Vec<CellKey>,
-    partition: Partition,
-    costs: Option<PathBuf>,
     list: bool,
     canonical: bool,
 }
@@ -96,17 +84,6 @@ enum Metric {
     Miss,
 }
 
-/// How cells are assigned to shard workers.
-#[derive(PartialEq, Clone, Copy)]
-enum Partition {
-    /// The historical blind split: `key % N`.
-    Hash,
-    /// Deterministic LPT bin-packing under the cost model: the parent
-    /// and every worker compute the same assignment from the same
-    /// `costs.json`, so no side channel is needed.
-    Balanced,
-}
-
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
@@ -115,12 +92,11 @@ fn fail(msg: &str) -> ! {
          [--offchip-preset p1,p2,..] [--page-bytes b1,b2,..] [--ways w1,w2,..] \
          [--way-policy p1,p2,..] [--scenario FILE.json] [--dump-scenario] \
          [--metric speedup|miss] [--shard I/N] [--merge FILE..] [--orchestrate N] \
-         [--orchestrate-dir DIR] [--max-restarts K] [--skip-cells k1,k2,..] \
-         [--partition hash|balanced] [--costs FILE] [--list] \
+         [--orchestrate-dir DIR] [--max-restarts K] [--skip-cells k1,k2,..] [--list] \
          [--canonical] [shared bench flags]"
     );
-    eprintln!("  --shard I/N   run only shard I (1-based) of a deterministic N-way cell");
-    eprintln!("                partition; writes a shard-output file to --json (required)");
+    eprintln!("  --shard I/N   run only shard I (1-based) of the deterministic, cost-balanced");
+    eprintln!("                N-way cell partition; writes a shard-output file to --json");
     eprintln!("  --merge F..   verify + merge shard-output files from the same grid flags");
     eprintln!("  --orchestrate N       supervise N journaled shard worker processes: restart");
     eprintln!("                        crashed workers from their journals, quarantine cells");
@@ -129,12 +105,6 @@ fn fail(msg: &str) -> ! {
     eprintln!("                        manifest (default .unison-orchestrate-<fingerprint>)");
     eprintln!("  --max-restarts K      restarts allowed per worker before giving up (default 3)");
     eprintln!("  --skip-cells k1,..    with --shard: skip these cell keys (quarantine hand-off)");
-    eprintln!("  --partition hash|balanced  how cells map to shard workers: the blind key-hash");
-    eprintln!("                        split (default) or cost-model LPT bin-packing, which");
-    eprintln!("                        evens out shard wall times without changing any output");
-    eprintln!("  --costs FILE  per-cell cost model (costs.json): schedules cells longest-first");
-    eprintln!("                and shapes balanced partitions; created on first use and updated");
-    eprintln!("                with fresh wall times after a complete run");
     eprintln!("  --list        print every valid design, preset, policy, and workload");
     eprintln!("  --canonical   write --json as the timing-stripped cells array (byte-identical");
     eprintln!("                across reruns/shardings/resumes) instead of the summary document");
@@ -262,8 +232,6 @@ fn parse_sweep_args(extra: Vec<String>) -> SweepArgs {
         orchestrate_dir: None,
         max_restarts: 3,
         skip_cells: Vec::new(),
-        partition: Partition::Hash,
-        costs: None,
         list: false,
         canonical: false,
     };
@@ -363,14 +331,6 @@ fn parse_sweep_args(extra: Vec<String>) -> SweepArgs {
             "--skip-cells" => {
                 args.skip_cells = parse_list("--skip-cells", &grab(), CellKey::from_hex);
             }
-            "--partition" => {
-                args.partition = match grab().as_str() {
-                    "hash" => Partition::Hash,
-                    "balanced" => Partition::Balanced,
-                    p => fail(&format!("unknown partition {p:?} (hash|balanced)")),
-                };
-            }
-            "--costs" => args.costs = Some(PathBuf::from(grab())),
             "--list" => args.list = true,
             "--canonical" => args.canonical = true,
             "--metric" => {
@@ -420,23 +380,7 @@ fn parse_sweep_args(extra: Vec<String>) -> SweepArgs {
              (the orchestrator passes it when quarantining a cell)",
         );
     }
-    if args.partition == Partition::Balanced && args.shard.is_none() && args.orchestrate.is_none() {
-        fail(
-            "--partition balanced shapes the split across shard workers; it needs \
-             --shard I/N or --orchestrate N (in-process runs schedule with --costs alone)",
-        );
-    }
     args
-}
-
-/// Loads a cost model from `path`, or starts from the structural prior
-/// when the file does not exist yet (the first run creates it).
-fn load_costs(path: &Path) -> CostModel {
-    if path.exists() {
-        CostModel::load(path).unwrap_or_else(|e| fail(&e))
-    } else {
-        CostModel::new()
-    }
 }
 
 /// Prints every valid spelling the grid flags accept, in one place.
@@ -474,30 +418,7 @@ fn run_shard(opts: &BenchOpts, sweep: &SweepArgs, grid: &ScenarioGrid, shard: Sh
     if !sweep.skip_cells.is_empty() {
         campaign = campaign.exclude(sweep.skip_cells.iter().copied());
     }
-    let model = sweep.costs.as_ref().map(|p| load_costs(p));
-    if let Some(m) = &model {
-        // Longest-first ordering inside the shard; workers never write
-        // the shared costs file (the parent folds timings in post-merge).
-        campaign = campaign.costs(m.clone());
-    }
-    let out = match sweep.partition {
-        Partition::Hash => match sweep.metric {
-            Metric::Speedup => campaign.run_shard_speedups(grid, shard),
-            Metric::Miss => campaign.run_shard(grid, shard),
-        },
-        Partition::Balanced => {
-            // Recompute the same deterministic LPT partition the parent
-            // computed: same costs file + same plan → same bins, so the
-            // explicit assignment needs no side channel.
-            let speedups = sweep.metric == Metric::Speedup;
-            let plan = TaskPlan::lower(&opts.cfg, grid, speedups);
-            let bins = model
-                .unwrap_or_default()
-                .partition(&plan, opts.cfg.accesses, shard.count);
-            let bin = bins.get(shard.index as usize).cloned().unwrap_or_default();
-            campaign.run_plan(grid, speedups, &BalancedExecutor::new(shard, bin))
-        }
-    };
+    let out = campaign.run_plan(grid, sweep.metric == Metric::Speedup, shard);
     let executed = out.cells.len() - out.resumed_cells;
     println!(
         "shard {}: {} of {} cells ({} executed, {} restored from journal); \
@@ -553,10 +474,9 @@ fn merge_outputs(opts: &BenchOpts, sweep: &SweepArgs, grid: &ScenarioGrid) -> Ca
 /// everything the user passed, minus the flags the orchestrator owns
 /// (`--orchestrate*`, `--max-restarts`), re-injects per worker
 /// (`--shard`, `--json`, `--journal`, `--resume`, `--threads`,
-/// `--skip-cells`) or per run (`--costs` pointing at the parent's
-/// snapshot, `--partition`), or that only makes sense in the parent
-/// (sinks, `--canonical`, progress streams — workers log per-cell
-/// lines to their own log files instead).
+/// `--skip-cells`), or that only makes sense in the parent (sinks,
+/// `--canonical`, progress streams — workers log per-cell lines to
+/// their own log files instead).
 fn worker_argv(worker_threads: usize) -> Vec<String> {
     const DROP_WITH_VALUE: &[&str] = &[
         "--orchestrate",
@@ -568,8 +488,6 @@ fn worker_argv(worker_threads: usize) -> Vec<String> {
         "--threads",
         "--skip-cells",
         "--shard",
-        "--costs",
-        "--partition",
     ];
     const DROP_FLAG: &[&str] = &["--resume", "--canonical", "--list", "--dump-scenario"];
     let mut out = Vec::new();
@@ -616,35 +534,12 @@ fn run_orchestrated(
     cfg.max_restarts = sweep.max_restarts;
     cfg.quiet = !opts.progress_config().enabled();
 
-    // Resolve the cost model: an explicit --costs file, else one left in
-    // the orchestrate dir by a previous run, else the structural prior.
-    // Journals a crashed or interrupted run left behind are free data.
-    let costs_path = dir.join("costs.json");
-    let mut model = load_costs(sweep.costs.as_deref().unwrap_or(&costs_path));
-    for w in 0..workers {
-        let journal = dir.join(format!("worker-{w}.journal.jsonl"));
-        if journal.exists() {
-            let _ = model.learn_journal(&journal);
-        }
-    }
-    // Snapshot the resolved model where every worker will read it, so
-    // parent and workers compute identical balanced partitions even if
-    // the source file changes mid-run.
-    std::fs::create_dir_all(&dir)
-        .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", dir.display())));
-    model.save(&costs_path).unwrap_or_else(|e| fail(&e));
-    if sweep.partition == Partition::Balanced {
-        cfg.assignments = Some(model.partition(&plan, opts.cfg.accesses, workers));
-    }
-
     let exe = std::env::current_exe()
         .unwrap_or_else(|e| fail(&format!("cannot locate the sweep executable: {e}")));
     // Split the pool across workers so N workers don't oversubscribe the
     // machine N-fold.
     let worker_threads = opts.threads.div_ceil(workers.max(1) as usize).max(1);
     let base_args = worker_argv(worker_threads);
-    let balanced = sweep.partition == Partition::Balanced;
-    let snapshot = costs_path.clone();
     let launch = move |l: &WorkerLaunch<'_>| {
         let mut cmd = Command::new(&exe);
         cmd.args(&base_args)
@@ -654,29 +549,13 @@ fn run_orchestrated(
             .arg(&l.paths.output)
             .arg("--journal")
             .arg(&l.paths.journal)
-            .arg("--resume")
-            .arg("--costs")
-            .arg(&snapshot);
-        if balanced {
-            cmd.arg("--partition").arg("balanced");
-        }
+            .arg("--resume");
         if !l.skip.is_empty() {
             cmd.arg("--skip-cells").arg(l.skip.join(","));
         }
         cmd
     };
-    let outcome = orchestrator::run(&plan, &cfg, &launch).unwrap_or_else(|e| fail(&e));
-
-    // Fold the fresh wall times back in so the next run partitions on
-    // measured costs, not the prior; mirror to the user's file if named.
-    for cell in outcome.result.cells() {
-        model.observe(cell);
-    }
-    model.save(&costs_path).unwrap_or_else(|e| fail(&e));
-    if let Some(user) = &sweep.costs {
-        model.save(user).unwrap_or_else(|e| fail(&e));
-    }
-    outcome
+    orchestrator::run(&plan, &cfg, &launch).unwrap_or_else(|e| fail(&e))
 }
 
 fn main() {
@@ -752,24 +631,11 @@ fn main() {
         orchestrated = Some(outcome);
         result
     } else if sweep.merge.is_empty() {
-        let mut campaign = opts.campaign();
-        let model = sweep.costs.as_ref().map(|p| load_costs(p));
-        if let Some(m) = &model {
-            campaign = campaign.costs(m.clone());
-        }
-        let results = match sweep.metric {
+        let campaign = opts.campaign();
+        match sweep.metric {
             Metric::Speedup => campaign.run_speedups(&grid),
             Metric::Miss => campaign.run(&grid),
-        };
-        // Fold measured wall times back into the costs file so the next
-        // invocation schedules on data instead of the structural prior.
-        if let (Some(path), Some(mut m)) = (&sweep.costs, model) {
-            for cell in results.cells() {
-                m.observe(cell);
-            }
-            m.save(path).unwrap_or_else(|e| fail(&e));
         }
-        results
     } else {
         merge_outputs(&opts, &sweep, &grid)
     };

@@ -202,7 +202,8 @@ impl UnisonConfig {
 /// Every size an access divides by is fixed when the cache is built, so
 /// each is a precomputed [`Divisor`]: the page split (the exact result of
 /// the §III-A.7 residue unit, see [`crate::residue`]), the set index and
-/// tag, and a set's DRAM row.
+/// tag, a set's DRAM row, and a way's slot in its row when sets span
+/// rows.
 #[derive(Debug, Clone)]
 pub struct UnisonCache {
     cfg: UnisonConfig,
@@ -213,6 +214,8 @@ pub struct UnisonCache {
     set_div: Divisor,
     /// Sets per row (1 when sets span rows, where it is unused).
     row_div: Divisor,
+    /// Pages per row: a way's slot in its row when sets span rows.
+    way_div: Divisor,
     /// The controller overhead in picoseconds.
     ctrl_ps: Ps,
     meta: MetaStore,
@@ -243,6 +246,7 @@ impl UnisonCache {
             page_div: Divisor::new(u64::from(cfg.page_blocks)),
             set_div: Divisor::new(num_sets),
             row_div: Divisor::new(u64::from(layout.sets_per_row.max(1))),
+            way_div: Divisor::new(u64::from(layout.pages_per_row)),
             ctrl_ps: cpu_cycles_to_ps(cfg.ctrl_overhead_cycles),
             meta: MetaStore::paged(num_sets, cfg.assoc, Replacement::AgingLru),
             fp_table: FootprintTable::paper_default(cfg.page_blocks),
@@ -306,8 +310,8 @@ impl UnisonCache {
             debug_assert!(u64::from(col) + BLOCK_BYTES <= ROW_BYTES);
             RowCol::new(at.row, col)
         } else {
-            let col = (u64::from(way % self.layout.pages_per_row) * self.layout.page_bytes()
-                + u64::from(block) * BLOCK_BYTES)
+            let (_, slot) = self.way_div.divmod(u64::from(way));
+            let col = (slot * self.layout.page_bytes() + u64::from(block) * BLOCK_BYTES)
                 % (ROW_BYTES - BLOCK_BYTES);
             RowCol::new(at.row, col as u32)
         }
@@ -1068,7 +1072,8 @@ mod tests {
     /// The placement computed once per access equals the `/` and `%`
     /// formulas it replaced, for every geometry the experiments build
     /// (960 B and 1984 B pages, 1-way, 4-way and the multi-row 32-way
-    /// sets) plus page sizes whose sets per row are not powers of two.
+    /// sets) plus page sizes whose sets or pages per row are not powers
+    /// of two.
     #[test]
     fn placement_matches_division_reference() {
         let shapes = [
@@ -1080,6 +1085,8 @@ mod tests {
             (3, 4),
             (7, 2),
             (63, 1),
+            (7, 32),
+            (3, 64),
         ];
         for (blocks, assoc) in shapes {
             for size in [1u64 << 20, 8 << 20, 96 << 20, 1 << 30, 8 << 30] {

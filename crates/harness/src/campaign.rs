@@ -1,10 +1,10 @@
-//! Campaign execution: grid → task plan → executor → typed results.
+//! Campaign execution: grid → task plan → one shard on the pool → typed
+//! results.
 //!
-//! The campaign no longer owns a monolithic run loop: it lowers the grid
-//! through [`TaskPlan::lower`] and hands the plan to an
-//! [`Executor`](crate::Executor) — in-process for `run`/`run_speedups`,
-//! [`ShardedExecutor`] for `run_shard*` — wiring in the memoized
-//! baseline/trace stores and, when configured, the checkpoint
+//! The campaign lowers the grid through [`TaskPlan::lower`], runs the
+//! cells [`TaskPlan::shard`] assigns it (the whole plan for `run` and
+//! `run_speedups`) longest-first on the worker pool, and wires in the
+//! memoized baseline/trace stores and, when configured, the checkpoint
 //! [`Journal`].
 
 use std::collections::HashSet;
@@ -23,10 +23,7 @@ use crate::grid::{Cell, ScenarioGrid};
 use crate::journal::{IndexedCell, Journal, ShardOutput};
 use crate::pool::{self, parallel_map};
 use crate::progress::{CounterSnapshot, ProgressConfig, ProgressReporter};
-use crate::scheduler::{
-    BaselineTask, CellKey, ExecHooks, Executor, InProcessExecutor, ShardSpec, ShardedExecutor,
-    TaskPlan, TracePrefillTask,
-};
+use crate::scheduler::{BaselineTask, CellKey, PlannedCell, ShardSpec, TaskPlan, TracePrefillTask};
 use crate::stats::geomean;
 use crate::telemetry::{CampaignTiming, Clock, MonotonicClock, Phase, Telemetry};
 use crate::trace_store::TraceStore;
@@ -278,7 +275,7 @@ pub enum TracePolicy {
 
 /// Executes [`ScenarioGrid`]s under one [`SimConfig`] (whose system spec
 /// each cell's scenario overrides): lowers the grid to a [`TaskPlan`]
-/// and runs it through an [`Executor`] on the worker pool, optionally
+/// and runs it (or one shard of it) on the worker pool, optionally
 /// checkpointing completions to a [`Journal`] and resuming from one.
 #[derive(Debug, Clone)]
 pub struct Campaign {
@@ -290,7 +287,6 @@ pub struct Campaign {
     resume: bool,
     excluded: HashSet<CellKey>,
     clock: Arc<dyn Clock>,
-    costs: Option<Arc<crate::costs::CostModel>>,
 }
 
 impl Campaign {
@@ -306,18 +302,7 @@ impl Campaign {
             resume: false,
             excluded: HashSet::new(),
             clock: Arc::new(MonotonicClock::new()),
-            costs: None,
         }
-    }
-
-    /// Loads a [`CostModel`](crate::CostModel): the executor schedules
-    /// work longest-first (LPT) under its predictions and the progress
-    /// ETA weights remaining work by predicted cost. Scheduling only —
-    /// results and canonical output are byte-identical with or without
-    /// a model.
-    pub fn costs(mut self, model: crate::costs::CostModel) -> Self {
-        self.costs = Some(Arc::new(model));
-        self
     }
 
     /// Sets the worker-pool width. `1` reproduces the historical serial
@@ -404,7 +389,7 @@ impl Campaign {
 
     /// Runs every cell of `grid`; no baselines, `speedup` is `None`.
     pub fn run(&self, grid: &ScenarioGrid) -> CampaignResult {
-        self.execute(grid, false)
+        self.run_whole(grid, false)
     }
 
     /// Runs every cell of `grid` and computes each cell's speedup over
@@ -412,24 +397,7 @@ impl Campaign {
     /// simulation per `(workload, system spec, seed)` in the whole
     /// campaign, prefilled in parallel before the design cells run.
     pub fn run_speedups(&self, grid: &ScenarioGrid) -> CampaignResult {
-        self.execute(grid, true)
-    }
-
-    /// Runs one deterministic shard of `grid` (no baselines); see
-    /// [`Self::run_shard_speedups`].
-    pub fn run_shard(&self, grid: &ScenarioGrid, shard: ShardSpec) -> ShardOutput {
-        self.run_plan(grid, false, &ShardedExecutor::new(shard))
-    }
-
-    /// Runs one deterministic shard of `grid` with speedups: only the
-    /// cells whose [`CellKey`](crate::CellKey) lands in `shard` under
-    /// the N-way partition execute (with exactly the baselines and trace
-    /// freezes they need). The returned [`ShardOutput`] serializes to
-    /// JSON; [`merge_shards`](crate::merge_shards) combines a complete
-    /// set of them into a [`CampaignResult`] bit-identical to
-    /// [`Self::run_speedups`] on one machine.
-    pub fn run_shard_speedups(&self, grid: &ScenarioGrid, shard: ShardSpec) -> ShardOutput {
-        self.run_plan(grid, true, &ShardedExecutor::new(shard))
+        self.run_whole(grid, true)
     }
 
     /// Builds the shared trace store for this campaign's policy.
@@ -454,10 +422,10 @@ impl Campaign {
         parallel_map(items, self.threads, f)
     }
 
-    fn execute(&self, grid: &ScenarioGrid, speedups: bool) -> CampaignResult {
-        self.run_plan(grid, speedups, &InProcessExecutor)
+    fn run_whole(&self, grid: &ScenarioGrid, speedups: bool) -> CampaignResult {
+        self.run_plan(grid, speedups, ShardSpec::WHOLE)
             .into_campaign_result()
-            .expect("the in-process executor covers every planned cell")
+            .expect("the whole-plan shard covers every planned cell")
     }
 
     /// Opens (or resumes) the configured journal for `plan`, returning
@@ -482,22 +450,19 @@ impl Campaign {
         }
     }
 
-    /// Lowers `grid` to a [`TaskPlan`] and runs it through `executor`:
-    /// the generic entry point behind [`Self::run`],
-    /// [`Self::run_speedups`], and [`Self::run_shard_speedups`], public
-    /// for custom executors. Only the executor's assigned cells run
-    /// (minus any restored from a resume journal), with exactly the
-    /// trace freezes and baselines those cells depend on — and they
-    /// simulate bit-identically to the same cells inside a full
-    /// single-process run.
-    pub fn run_plan(
-        &self,
-        grid: &ScenarioGrid,
-        speedups: bool,
-        executor: &dyn Executor,
-    ) -> ShardOutput {
+    /// Lowers `grid` to a [`TaskPlan`] and runs the cells
+    /// [`TaskPlan::shard`] assigns to `shard` (minus any restored from a
+    /// resume journal), longest predicted first, with exactly the trace
+    /// freezes and baselines those cells depend on. `speedups` selects
+    /// [`Self::run_speedups`] semantics. The cells simulate
+    /// bit-identically to the same cells inside a full single-process
+    /// run; the returned [`ShardOutput`] serializes to JSON, and
+    /// [`merge_shards`](crate::merge_shards) combines a complete set of
+    /// them into a [`CampaignResult`] bit-identical to
+    /// [`Self::run_speedups`] (or [`Self::run`]) on one machine.
+    pub fn run_plan(&self, grid: &ScenarioGrid, speedups: bool, shard: ShardSpec) -> ShardOutput {
         let plan = TaskPlan::lower(&self.cfg, grid, speedups);
-        let assigned = executor.assigned(&plan);
+        let assigned = plan.shard(shard);
         let assigned_set: HashSet<usize> = assigned.iter().copied().collect();
 
         let telemetry = Telemetry::new(Arc::clone(&self.clock));
@@ -605,84 +570,73 @@ impl Campaign {
             trace_memo_hits: traces.as_ref().map_or(0, |t| t.memo_hits()),
             trace_disk_hits: traces.as_ref().map_or(0, |t| t.disk_hits()),
         };
-        // Predicted per-plan-index costs, present when a model is
-        // loaded: drives LPT ordering in the executor and cost-weighted
-        // ETAs in the reporter.
-        let plan_costs: Option<Vec<u64>> = self
-            .costs
-            .as_ref()
-            .map(|m| m.plan_costs(&plan, self.cfg.accesses));
+        // `to_run` is in start order (longest predicted first), so the
+        // pool never leaves a long cell for its last wave.
+        let tasks: Vec<&PlannedCell> = to_run.iter().map(|&i| &plan.cells[i]).collect();
+        let costs: Vec<u64> = tasks.iter().map(|pc| pc.cost).collect();
         let mut reporter = ProgressReporter::new(
             self.progress,
             self.threads,
-            to_run.len(),
+            &costs,
             restored.len(),
             telemetry.now_ns(),
         );
-        if let Some(costs) = &plan_costs {
-            reporter = reporter.with_predicted_work(
-                to_run
-                    .iter()
-                    .map(|&i| costs[i])
-                    .fold(0u64, u64::saturating_add),
-            );
-        }
         let executed = telemetry.time_phase(Phase::Cells, || {
-            executor.execute(
-                &plan,
-                ExecHooks {
-                    threads: self.threads,
-                    skip: &skip,
-                    run: &|pc| {
-                        fault::check_cell_start(&pc.key.hex());
-                        // Stamped on the worker thread: wall time of this
-                        // cell's simulation alone, excluding queueing.
-                        let start = telemetry.now_ns();
-                        let mut r = self.run_cell(&pc.cell, store.as_ref(), traces.as_deref());
-                        r.wall_ns = telemetry.now_ns().saturating_sub(start);
-                        r
-                    },
-                    cost: plan_costs.as_deref(),
-                    observe: &mut |pc, r| {
-                        if let Some(j) = &journal {
-                            j.append(&IndexedCell {
-                                index: pc.index,
-                                key: pc.key.hex(),
-                                result: r.clone(),
-                            });
-                        }
-                        if let Some(line) = reporter.on_cell(
-                            telemetry.now_ns(),
-                            r.design(),
-                            &pc.cell.describe(),
-                            r.wall_ns,
-                            plan_costs.as_ref().map_or(0, |c| c[pc.index]),
-                            counters(),
-                        ) {
-                            eprintln!("{line}");
-                        }
-                        // After the journal append: the cells counted as
-                        // completed really are durable when this fires.
-                        fault::cell_completed(&pc.key.hex());
-                    },
+            pool::parallel_map_observed(
+                &tasks,
+                self.threads,
+                |pc| {
+                    fault::check_cell_start(&pc.key.hex());
+                    // Stamped on the worker thread: wall time of this
+                    // cell's simulation alone, excluding queueing.
+                    let start = telemetry.now_ns();
+                    let mut r = self.run_cell(&pc.cell, store.as_ref(), traces.as_deref());
+                    r.wall_ns = telemetry.now_ns().saturating_sub(start);
+                    r
+                },
+                // The [key=…] tag is machine-parseable culprit identity:
+                // the orchestrator greps a dead worker's log for it to
+                // decide which cell to quarantine.
+                &|pc| format!("{} [key={}]", pc.cell.describe(), pc.key.hex()),
+                &mut |slot, r: &CellResult| {
+                    let pc = tasks[slot];
+                    if let Some(j) = &journal {
+                        j.append(&IndexedCell {
+                            index: pc.index,
+                            key: pc.key.hex(),
+                            result: r.clone(),
+                        });
+                    }
+                    if let Some(line) = reporter.on_cell(
+                        telemetry.now_ns(),
+                        r.design(),
+                        &pc.cell.describe(),
+                        r.wall_ns,
+                        pc.cost,
+                        counters(),
+                    ) {
+                        eprintln!("{line}");
+                    }
+                    // After the journal append: the cells counted as
+                    // completed really are durable when this fires.
+                    fault::cell_completed(&pc.key.hex());
                 },
             )
         });
 
         let resumed_cells = restored.len();
         let mut cells = restored;
-        cells.extend(executed.into_iter().map(|(i, r)| IndexedCell {
-            index: i,
-            key: plan.cells[i].key.hex(),
+        cells.extend(tasks.iter().zip(executed).map(|(pc, r)| IndexedCell {
+            index: pc.index,
+            key: pc.key.hex(),
             result: r,
         }));
         cells.sort_by_key(|e| e.index);
-        let (shard_index, shard_count) = executor.shard();
         ShardOutput {
             fingerprint: plan.fingerprint().to_string(),
             total_cells: plan.len(),
-            shard_index,
-            shard_count,
+            shard_index: shard.index,
+            shard_count: shard.count,
             speedups,
             cells,
             baseline_runs: store.as_ref().map_or(0, BaselineStore::computed_runs),
@@ -905,44 +859,6 @@ mod tests {
             .iter()
             .filter(|c| c.design() != "NoCache")
             .all(|c| c.wall_ns > 0));
-    }
-
-    /// LPT scheduling under a cost model reorders execution only:
-    /// canonical output is byte-identical to a model-free serial run.
-    #[test]
-    fn lpt_scheduling_is_bit_identical() {
-        let grid = ScenarioGrid::new()
-            .designs([Design::Unison, Design::Alloy, Design::Ideal])
-            .workloads([workloads::web_search(), workloads::data_serving()])
-            .sizes([128 << 20, 256 << 20]);
-        let plain = Campaign::new(SimConfig::quick_test())
-            .threads(1)
-            .run_speedups(&grid);
-        // A learned model with deliberately inverted costs (cheap
-        // designs predicted expensive) maximally perturbs the order.
-        let mut model = crate::costs::CostModel::new();
-        for cell in grid.cells(SimConfig::quick_test().seed) {
-            let ns = match cell.design {
-                Design::Ideal => 9_000_000,
-                _ => 1_000_000,
-            };
-            model.record(
-                &cell.design.name(),
-                cell.workload.name,
-                &cell.scenario.name,
-                cell.cache_bytes,
-                ns,
-            );
-        }
-        let lpt = Campaign::new(SimConfig::quick_test())
-            .threads(2)
-            .costs(model)
-            .run_speedups(&grid);
-        assert_eq!(
-            serde_json::to_string(&plain.canonical_cells()).unwrap(),
-            serde_json::to_string(&lpt.canonical_cells()).unwrap(),
-            "LPT diverged from the serial run"
-        );
     }
 
     #[test]

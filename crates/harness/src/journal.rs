@@ -519,7 +519,7 @@ pub fn merge_shards(outputs: Vec<ShardOutput>) -> Result<CampaignResult, String>
 mod tests {
     use super::*;
     use crate::grid::ScenarioGrid;
-    use crate::scheduler::{InProcessExecutor, ShardSpec, ShardedExecutor};
+    use crate::scheduler::ShardSpec;
     use crate::Campaign;
     use unison_sim::{Design, SimConfig};
     use unison_trace::workloads;
@@ -699,11 +699,9 @@ mod tests {
         let cfg = SimConfig::quick_test();
         let g = grid();
         let shard = |i: u32| {
-            Campaign::new(cfg).threads(1).run_plan(
-                &g,
-                true,
-                &ShardedExecutor::new(ShardSpec::new(i, 2).unwrap()),
-            )
+            Campaign::new(cfg)
+                .threads(1)
+                .run_plan(&g, true, ShardSpec::new(i, 2).unwrap())
         };
         let a = shard(0);
         let b = shard(1);
@@ -727,11 +725,10 @@ mod tests {
         // Foreign fingerprint.
         let mut other_cfg = cfg;
         other_cfg.seed = 9;
-        let foreign = Campaign::new(other_cfg).threads(1).run_plan(
-            &g,
-            true,
-            &ShardedExecutor::new(ShardSpec::new(1, 2).unwrap()),
-        );
+        let foreign =
+            Campaign::new(other_cfg)
+                .threads(1)
+                .run_plan(&g, true, ShardSpec::new(1, 2).unwrap());
         let err = merge_shards(vec![a.clone(), foreign]).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
 
@@ -752,7 +749,7 @@ mod tests {
         let g = grid();
         let out = Campaign::new(cfg)
             .threads(1)
-            .run_plan(&g, false, &InProcessExecutor);
+            .run_plan(&g, false, ShardSpec::WHOLE);
         assert_eq!(out.shard_count, 1);
         assert_eq!(out.cells.len(), out.total_cells);
         let r = out.into_campaign_result().unwrap();

@@ -29,12 +29,14 @@
 //!   [`Campaign::traces`]`(`[`TracePolicy::Generate`]`)`.
 //! * [`CampaignResult`] — typed result set with lookup helpers,
 //!   [`stats::geomean`] reductions, and JSON/CSV sinks ([`sink`]).
-//! * [`TaskPlan`] / [`Executor`] ([`scheduler`]) — the grid lowers to an
-//!   explicit task plan (trace prefills → baselines → cells, each cell
-//!   keyed by a stable [`CellKey`]); executors run it in-process or as a
-//!   deterministic `--shard I/N` partition ([`ShardedExecutor`]), and
-//!   [`merge_shards`] reassembles a complete set of [`ShardOutput`]s
-//!   bit-identically to the single-process run.
+//! * [`TaskPlan`] ([`scheduler`]) — the grid lowers to an explicit task
+//!   plan (trace prefills → baselines → cells, each cell keyed by a
+//!   stable [`CellKey`] and carrying a predicted cost). One scheduler,
+//!   [`TaskPlan::shard`], LPT-packs those costs into the cells each
+//!   process runs, longest first: the whole plan in-process, or one
+//!   `--shard I/N` of it, with [`merge_shards`] reassembling a complete
+//!   set of [`ShardOutput`]s bit-identically to the single-process run.
+//!   Every process derives the same schedule from the plan alone.
 //! * [`Journal`] ([`journal`]) — append-only JSONL checkpoint of
 //!   completed cells; `Campaign::journal(path).resume(true)` restores
 //!   the completed prefix after an interruption and runs only the rest,
@@ -47,13 +49,6 @@
 //!   identity: it feeds no key or fingerprint, and byte-identity
 //!   checks compare [`CampaignResult::canonical_cells`] (timing
 //!   stripped).
-//! * [`CostModel`] ([`costs`]) — per-cell cost estimates learned from
-//!   prior journals and shard outputs (with a structural prior for
-//!   never-seen cells), persisted as `costs.json`. Drives LPT
-//!   longest-first ordering in the in-process executor and the
-//!   orchestrator's `--partition balanced` LPT bin-packing of cells
-//!   onto workers, replacing the blind `key % N` split — scheduling
-//!   only, never identity: canonical output stays byte-identical.
 //! * [`orchestrator`] — the fault-tolerant campaign supervisor behind
 //!   `sweep --orchestrate N`: journaled shard worker processes,
 //!   crash-restart under bounded exponential backoff, repeat-offender
@@ -87,7 +82,6 @@
 
 mod baseline;
 mod campaign;
-pub mod costs;
 pub mod errors;
 pub mod fault;
 mod grid;
@@ -103,7 +97,6 @@ mod trace_store;
 
 pub use baseline::BaselineStore;
 pub use campaign::{Campaign, CampaignResult, CampaignSummary, CellResult, TracePolicy};
-pub use costs::CostModel;
 pub use errors::{FileError, IoContext};
 pub use grid::{Cell, ExperimentGrid, ScenarioGrid};
 pub use journal::{merge_shards, IndexedCell, Journal, ShardOutput};
@@ -115,9 +108,6 @@ pub use progress::{
     CounterSnapshot, FleetProgress, ProgressConfig, ProgressMode, ProgressReporter, WorkerPhase,
     WorkerSample,
 };
-pub use scheduler::{
-    BalancedExecutor, CellKey, ExecHooks, Executor, InProcessExecutor, PlannedCell, ShardSpec,
-    ShardedExecutor, TaskPlan,
-};
+pub use scheduler::{CellKey, PlannedCell, ShardSpec, TaskPlan};
 pub use telemetry::{CampaignTiming, Clock, MockClock, MonotonicClock, Phase, Telemetry};
 pub use trace_store::{HeldArtifacts, TraceStore};

@@ -1,6 +1,6 @@
 //! The in-process campaign supervisor behind `sweep --orchestrate N`.
 //!
-//! One parent process lowers the plan once, partitions its cells across
+//! One parent process lowers the plan once, shards its cells across
 //! N child `--shard i/N` worker processes (each checkpointing to its own
 //! [`Journal`]), and supervises them: a worker that dies — panicking
 //! cell, injected crash, SIGKILL, corrupted output — is relaunched with
@@ -42,7 +42,7 @@ use crate::errors::IoContext;
 use crate::fault;
 use crate::journal::{merge_shards, IndexedCell, Journal, ShardOutput};
 use crate::progress::{FleetProgress, ProgressConfig, WorkerPhase, WorkerSample};
-use crate::scheduler::{Executor, ShardSpec, ShardedExecutor, TaskPlan};
+use crate::scheduler::{imbalance_ratio, ShardSpec, TaskPlan};
 use crate::telemetry::CampaignTiming;
 
 /// Supervision policy for one orchestrated campaign.
@@ -65,13 +65,6 @@ pub struct OrchestratorConfig {
     pub dir: PathBuf,
     /// Suppress the fleet progress/supervision lines on stderr.
     pub quiet: bool,
-    /// Explicit per-worker cell assignment (plan indices, one `Vec` per
-    /// worker) replacing the default `key % N` partition — how
-    /// `--partition balanced` hands the cost model's LPT bin-packing to
-    /// the supervisor. Workers must compute the same assignment on
-    /// their side (same plan + same `costs.json`), since coverage
-    /// verification checks each shard output against its entry here.
-    pub assignments: Option<Vec<Vec<usize>>>,
 }
 
 impl OrchestratorConfig {
@@ -84,7 +77,6 @@ impl OrchestratorConfig {
             backoff_cap_ms: 5_000,
             dir: dir.into(),
             quiet: false,
-            assignments: None,
         }
     }
 }
@@ -184,9 +176,9 @@ pub struct CampaignManifest {
     /// Restarts summed across workers.
     pub total_restarts: u32,
     /// Max/mean of per-worker busy (cell-simulation) time across
-    /// workers with verified outputs. 1.0 is perfect balance; the blind
-    /// `key % N` partition typically lands well above it, `--partition
-    /// balanced` close to it.
+    /// workers with verified outputs. 1.0 is perfect balance; how close
+    /// a run lands measures how well [`TaskPlan::shard`]'s predicted
+    /// costs matched the measured ones.
     pub imbalance_ratio: f64,
     /// Cells missing from the result, with attribution.
     pub quarantined: Vec<QuarantinedCell>,
@@ -323,10 +315,7 @@ pub fn run(
             Worker {
                 index: i,
                 shard,
-                assigned: match &cfg.assignments {
-                    Some(bins) => bins.get(i as usize).cloned().unwrap_or_default(),
-                    None => ShardedExecutor::new(shard).assigned(plan),
-                },
+                assigned: plan.shard(shard),
                 paths,
                 phase: Phase::Idle,
                 restarts: 0,
@@ -690,7 +679,7 @@ fn assemble(
             _ => None,
         })
         .collect();
-    let imbalance_ratio = crate::costs::imbalance_ratio(&busy);
+    let imbalance_ratio = imbalance_ratio(&busy);
     if !cfg.quiet && busy.len() > 1 {
         eprintln!(
             "[orchestrate] shard busy-time imbalance: {imbalance_ratio:.3}× (max/mean over {} \
@@ -904,9 +893,10 @@ mod tests {
         use unison_trace::workloads;
 
         // Zero ways trips an assertion inside the Unison constructor: a
-        // real panic in the run hook, after Ideal on the same trace.
+        // real panic in the run hook, after Unison on the same trace
+        // (equal predicted cost, so plan order decides who starts first).
         let grid = ScenarioGrid::new()
-            .designs([Design::Ideal, Design::UnisonAssoc(0)])
+            .designs([Design::Unison, Design::UnisonAssoc(0)])
             .workloads([workloads::web_search()])
             .sizes([256 << 20]);
         let cfg = SimConfig::quick_test();

@@ -190,60 +190,47 @@ pub struct ProgressReporter {
     last_emit_ns: Option<u64>,
     done: usize,
     cell_ns_sum: u64,
-    // Predicted cost of all cells to run (Some only when the campaign
-    // loaded a cost model) and of the cells completed so far — the ETA
-    // weights remaining work by cost instead of assuming every cell
-    // costs the running mean.
-    predicted_total_ns: Option<u64>,
+    // Predicted cost of all cells to run and of the cells completed so
+    // far: the ETA weighs remaining work by cost.
+    predicted_total_ns: u64,
     predicted_done_ns: u64,
     // (design, completions, summed wall ns), sorted by design name.
     designs: Vec<(String, usize, u64)>,
 }
 
 impl ProgressReporter {
-    /// Creates a reporter for a run executing `total` cells on
-    /// `threads` workers, with `resumed` more restored from a journal,
-    /// starting at clock reading `start_ns`.
+    /// Creates a reporter for a run executing one cell per entry of
+    /// `predicted_ns` (each cell's predicted cost,
+    /// [`PlannedCell::cost`](crate::PlannedCell)) on `threads` workers,
+    /// with `resumed` more restored from a journal, starting at clock
+    /// reading `start_ns`.
     pub fn new(
         cfg: ProgressConfig,
         threads: usize,
-        total: usize,
+        predicted_ns: &[u64],
         resumed: usize,
         start_ns: u64,
     ) -> Self {
         ProgressReporter {
             cfg,
             threads: threads.max(1),
-            total,
+            total: predicted_ns.len(),
             resumed,
             start_ns,
             last_emit_ns: None,
             done: 0,
             cell_ns_sum: 0,
-            predicted_total_ns: None,
+            predicted_total_ns: predicted_ns.iter().fold(0, |a, &c| a.saturating_add(c)),
             predicted_done_ns: 0,
             designs: Vec::new(),
         }
-    }
-
-    /// Loads the cost model's total predicted work for the cells to
-    /// run. With it, [`ProgressReporter::event`] weights the remaining
-    /// work by predicted cost (each [`ProgressReporter::on_cell`] then
-    /// supplies that cell's prediction) instead of assuming every
-    /// remaining cell costs the running mean — under LPT ordering the
-    /// tail is the cheap cells, and the running-mean ETA overshoots.
-    pub fn with_predicted_work(mut self, total_ns: u64) -> Self {
-        self.predicted_total_ns = Some(total_ns);
-        self
     }
 
     /// Records one completed cell and returns the line to emit, if this
     /// completion crosses the rate limit (the final cell always emits).
     /// `label` is the cell's [`Cell::describe`](crate::Cell) identity
     /// (used by the per-cell mode), `design` its design display name,
-    /// `predicted_ns` the cost model's prediction for this cell (0 when
-    /// no model is loaded; only read after
-    /// [`ProgressReporter::with_predicted_work`]).
+    /// `predicted_ns` its predicted cost.
     pub fn on_cell(
         &mut self,
         now_ns: u64,
@@ -319,29 +306,28 @@ impl ProgressReporter {
     pub fn event(&self, now_ns: u64, counters: CounterSnapshot) -> ProgressEvent {
         let elapsed_ns = now_ns.saturating_sub(self.start_ns);
         let remaining = self.total.saturating_sub(self.done);
-        // ETA. With a cost model loaded, the remaining work is weighted
-        // by predicted cost, calibrated by the observed/predicted ratio
-        // so far (a mis-scaled prior still orders cells correctly but
-        // would skew absolute ETAs): under LPT ordering the remaining
-        // cells are the cheap ones, and pretending they cost the
-        // running mean overestimates the tail. Without a model, assume
-        // the remaining cells cost the running mean and the pool drains
-        // them in ceil(remaining / threads) waves of one mean each.
-        // Flooring the division instead would underestimate the tail —
-        // 1 cell left on 4 threads takes ~one mean, not mean/4.
-        let eta_ns = if self.done == 0 {
+        // ETA: the remaining predicted work, calibrated by the
+        // observed/predicted ratio so far (the prior orders cells well
+        // but its absolute scale is the reference machine's), drained in
+        // ceil(remaining / threads) pool waves of one mean remaining cell
+        // each. The cells start longest-first, so the remaining ones are
+        // the cheap ones and weighing them by cost keeps the tail from
+        // being overestimated; rounding waves up keeps it from being
+        // underestimated — 1 cell left on 4 threads takes that cell's
+        // time, not a quarter of it.
+        let eta_ns = if self.done == 0 || remaining == 0 {
             0
-        } else if let Some(total) = self.predicted_total_ns {
-            let remaining_pred = total.saturating_sub(self.predicted_done_ns);
-            let calibrated = if self.predicted_done_ns > 0 {
-                (remaining_pred as f64 * self.cell_ns_sum as f64 / self.predicted_done_ns as f64)
-                    as u64
-            } else {
-                remaining_pred
-            };
-            calibrated.div_ceil(self.threads as u64)
         } else {
-            self.mean_cell_ns() * (remaining as u64).div_ceil(self.threads as u64)
+            let remaining_pred = self
+                .predicted_total_ns
+                .saturating_sub(self.predicted_done_ns);
+            let calibrated = if self.predicted_done_ns > 0 {
+                remaining_pred as f64 * self.cell_ns_sum as f64 / self.predicted_done_ns as f64
+            } else {
+                remaining_pred as f64
+            };
+            let waves = remaining.div_ceil(self.threads);
+            (calibrated * waves as f64 / remaining as f64) as u64
         };
         let cells_per_sec = if elapsed_ns == 0 {
             0.0
@@ -519,7 +505,7 @@ mod tests {
 
     #[test]
     fn per_cell_mode_emits_every_completion_with_wall_time() {
-        let mut r = ProgressReporter::new(ProgressConfig::per_cell(), 2, 3, 0, 0);
+        let mut r = ProgressReporter::new(ProgressConfig::per_cell(), 2, &[0; 3], 0, 0);
         let line = r
             .on_cell(
                 SEC,
@@ -538,7 +524,7 @@ mod tests {
 
     #[test]
     fn off_mode_emits_nothing_but_still_accumulates() {
-        let mut r = ProgressReporter::new(ProgressConfig::off(), 1, 2, 0, 0);
+        let mut r = ProgressReporter::new(ProgressConfig::off(), 1, &[0; 2], 0, 0);
         assert!(r.on_cell(SEC, "Alloy", "x", 100, 0, counters()).is_none());
         assert_eq!(r.done(), 1);
         assert_eq!(r.mean_cell_ns(), 100);
@@ -547,7 +533,7 @@ mod tests {
     #[test]
     fn human_mode_rate_limits_and_always_emits_the_final_cell() {
         let cfg = ProgressConfig::human(Some(10));
-        let mut r = ProgressReporter::new(cfg, 4, 3, 2, 0);
+        let mut r = ProgressReporter::new(cfg, 4, &[0; 3], 2, 0);
         // 1 s in: under the 10 s interval, suppressed.
         assert!(r.on_cell(SEC, "Unison", "a", SEC, 0, counters()).is_none());
         // 11 s in: interval crossed.
@@ -569,64 +555,77 @@ mod tests {
 
     #[test]
     fn eta_scales_with_threads_and_mean() {
-        let mut r = ProgressReporter::new(ProgressConfig::human(None), 2, 5, 0, 0);
-        r.on_cell(SEC, "Unison", "a", 4 * SEC, 0, CounterSnapshot::default());
+        let mut r = ProgressReporter::new(ProgressConfig::human(None), 2, &[SEC; 5], 0, 0);
+        r.on_cell(SEC, "Unison", "a", 4 * SEC, SEC, CounterSnapshot::default());
         let e = r.event(SEC, CounterSnapshot::default());
         assert_eq!(e.mean_cell_ns, 4 * SEC);
-        // 4 cells left × 4 s mean / 2 threads = 8 s.
+        // 4 cells left × 4 s calibrated / 2 threads = 8 s.
         assert_eq!(e.eta_ns, 8 * SEC);
         assert!((e.cells_per_sec - 1.0).abs() < 1e-9);
     }
 
     /// The ETA tail must round up to whole pool waves: with one cell
-    /// left on four threads the estimate is ~one mean cell time, not
-    /// mean/4 (the floor-division bug this pins against).
+    /// left on four threads the estimate is that cell's calibrated
+    /// prediction, not a quarter of it.
     #[test]
     fn eta_tail_rounds_up_to_whole_pool_waves() {
         use crate::telemetry::{Clock, MockClock};
         let clock = MockClock::new(0);
-        let mut r = ProgressReporter::new(ProgressConfig::human(None), 4, 2, 0, clock.now_ns());
+        let mut r = ProgressReporter::new(
+            ProgressConfig::human(None),
+            4,
+            &[4 * SEC, 2 * SEC],
+            0,
+            clock.now_ns(),
+        );
 
-        clock.advance(4 * SEC);
+        clock.advance(8 * SEC);
+        // Predicted 4 s, took 8 s: the prior runs 2× fast here.
         r.on_cell(
             clock.now_ns(),
             "Unison",
             "a",
+            8 * SEC,
             4 * SEC,
-            0,
             CounterSnapshot::default(),
         );
         let e = r.event(clock.now_ns(), CounterSnapshot::default());
-        assert_eq!(e.mean_cell_ns, 4 * SEC);
-        // 1 cell left on 4 threads: one full wave of the 4 s mean.
+        // 1 cell left on 4 threads: its whole 2 s prediction × 2.
         assert_eq!(e.eta_ns, 4 * SEC, "tail ETA must not divide below one wave");
 
-        // 5 remaining on 4 threads is two waves (ceil, not floor).
-        let mut r = ProgressReporter::new(ProgressConfig::human(None), 4, 6, 0, clock.now_ns());
+        // 5 equal cells remaining on 4 threads is two waves (ceil, not
+        // floor).
+        let mut r =
+            ProgressReporter::new(ProgressConfig::human(None), 4, &[SEC; 6], 0, clock.now_ns());
         r.on_cell(
             clock.now_ns(),
             "Unison",
             "a",
             4 * SEC,
-            0,
+            SEC,
             CounterSnapshot::default(),
         );
         let e = r.event(clock.now_ns(), CounterSnapshot::default());
         assert_eq!(e.eta_ns, 8 * SEC);
     }
 
-    /// Under LPT the tail is cheap cells: with a cost model loaded the
-    /// ETA must weight remaining work by predicted cost, not claim
-    /// whole waves of the (expensive-cell-dominated) running mean.
+    /// The cells start longest-first, so the tail is cheap cells: the
+    /// ETA must weigh remaining work by predicted cost, not claim whole
+    /// waves of the (expensive-cell-dominated) running mean.
     #[test]
-    fn eta_weights_remaining_work_by_the_cost_model() {
+    fn eta_weights_remaining_work_by_predicted_cost() {
         use crate::telemetry::{Clock, MockClock};
         let clock = MockClock::new(0);
-        let mut r = ProgressReporter::new(ProgressConfig::human(None), 1, 3, 0, clock.now_ns())
-            .with_predicted_work(6 * SEC);
+        let mut r = ProgressReporter::new(
+            ProgressConfig::human(None),
+            1,
+            &[4 * SEC, SEC, SEC],
+            0,
+            clock.now_ns(),
+        );
         clock.advance(4 * SEC);
         // The 4 s cell (predicted 4 s) completes first; 2 s of cheap
-        // cells remain. The running-mean estimate would claim
+        // cells remain. A running-mean estimate would claim
         // 2 waves × 4 s = 8 s.
         r.on_cell(
             clock.now_ns(),
@@ -648,10 +647,15 @@ mod tests {
     fn eta_calibrates_a_mis_scaled_prior() {
         use crate::telemetry::{Clock, MockClock};
         let clock = MockClock::new(0);
-        let mut r = ProgressReporter::new(ProgressConfig::human(None), 1, 3, 0, clock.now_ns())
-            .with_predicted_work(12 * SEC);
+        let mut r = ProgressReporter::new(
+            ProgressConfig::human(None),
+            1,
+            &[8 * SEC, 2 * SEC, 2 * SEC],
+            0,
+            clock.now_ns(),
+        );
         clock.advance(4 * SEC);
-        // Predicted 8 s, took 4 s: the model runs 2× hot. Remaining
+        // Predicted 8 s, took 4 s: the prior runs 2× hot. Remaining
         // 4 s of predicted work should be reported as ~2 s.
         r.on_cell(
             clock.now_ns(),
@@ -668,7 +672,7 @@ mod tests {
     #[test]
     fn json_mode_emits_parseable_events() {
         let cfg = ProgressConfig::json(Some(0));
-        let mut r = ProgressReporter::new(cfg, 1, 1, 0, 0);
+        let mut r = ProgressReporter::new(cfg, 1, &[0], 0, 0);
         let line = r
             .on_cell(2 * SEC, "Ideal", "cell", SEC, 0, counters())
             .expect("zero interval emits every completion");

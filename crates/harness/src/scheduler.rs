@@ -1,39 +1,39 @@
-//! The campaign planner/executor layer.
+//! The campaign planner and its one cell scheduler.
 //!
 //! [`TaskPlan::lower`] turns a declarative [`ScenarioGrid`] into an
 //! explicit task plan: trace-prefill tasks, baseline tasks, and cell
 //! tasks with their dependencies resolved, each cell keyed by a stable
-//! [`CellKey`] derived from the serialized specs. Execution is behind
-//! the [`Executor`] trait — [`InProcessExecutor`] runs the whole plan on
-//! the worker pool (the historical behaviour), and [`ShardedExecutor`]
-//! runs the deterministic `--shard I/N` partition of it, so N machines
-//! can split one campaign and later [`merge_shards`] the pieces into an
-//! output bit-identical to the single-process run.
+//! [`CellKey`] derived from the serialized specs and carrying a
+//! predicted cost ([`prior_ns`] over the cell's own trace length).
+//! [`TaskPlan::shard`] LPT-packs those costs into the cells one process
+//! runs, in the order its pool starts them: [`ShardSpec::WHOLE`] is the
+//! in-process run, and `--shard I/N` lets N machines split one campaign
+//! and later [`merge_shards`] the pieces into an output bit-identical to
+//! the single-process run.
 //!
-//! The plan, not the executor, is the source of truth for *what* runs:
-//! every executor sees the same cell indices, keys, and dependency
-//! edges, so any subset of cells — a shard, or the remainder after a
-//! `--resume` restored the journaled prefix — simulates bit-identically
-//! to the same cells inside a full run.
+//! The schedule is a pure function of the plan, so every process that
+//! lowers the same grid under the same config computes the same shards
+//! with nothing shipped between them. Scheduling never changes results:
+//! each cell is a pure function of `(cell, config)`, so any subset — a
+//! shard, or the remainder after a `--resume` restored the journaled
+//! prefix — simulates bit-identically to the same cells inside a full
+//! run, and outputs are reassembled in plan order.
 //!
 //! [`merge_shards`]: crate::journal::merge_shards
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use unison_sim::{SimConfig, SystemSpec};
 use unison_trace::{Fnv1a, WorkloadSpec};
 
 use crate::baseline::baseline_key;
-use crate::campaign::CellResult;
 use crate::grid::{Cell, ScenarioGrid};
-use crate::pool;
 
 /// Stable identity of one planned cell, derived (FNV-1a) from the full
 /// serialized workload spec, the scenario (name and system spec), the
 /// design name, the cache size, and the seed. Two processes lowering the
 /// same grid under the same config compute identical keys, which is what
-/// makes `--shard I/N` partitioning and journal resume deterministic
-/// across machines.
+/// makes shard merging and journal resume verifiable across machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellKey(u64);
 
@@ -79,12 +79,6 @@ impl CellKey {
             .map(CellKey)
             .map_err(|_| format!("bad cell key {s:?}"))
     }
-
-    /// The shard (0-based) this key lands in under an `count`-way
-    /// deterministic partition.
-    pub fn shard_of(&self, count: u32) -> u32 {
-        (self.0 % u64::from(count.max(1))) as u32
-    }
 }
 
 /// One shard of an N-way campaign partition. `index` is **0-based**
@@ -99,6 +93,10 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
+    /// The single shard of a 1-way partition: the whole plan, in one
+    /// process.
+    pub const WHOLE: ShardSpec = ShardSpec { index: 0, count: 1 };
+
     /// Builds a spec from a 0-based index.
     ///
     /// # Errors
@@ -178,7 +176,7 @@ pub struct BaselineTask {
 pub struct PlannedCell {
     /// Position in grid order — the index results are reassembled by.
     pub index: usize,
-    /// Stable identity (shard partitioning, journal entries).
+    /// Stable identity (journal entries, shard-merge verification).
     pub key: CellKey,
     /// The cell itself.
     pub cell: Cell,
@@ -188,6 +186,10 @@ pub struct PlannedCell {
     /// Index into [`TaskPlan::baselines`] of the baseline this cell's
     /// speedup is measured against (`None` in plain campaigns).
     pub baseline: Option<usize>,
+    /// Predicted wall time, ns: [`prior_ns`] of the design over the
+    /// records this cell replays. Scheduling only; it feeds no key or
+    /// fingerprint.
+    pub cost: u64,
 }
 
 /// The explicit task plan one grid lowers to: prefill tasks, baseline
@@ -267,6 +269,7 @@ impl TaskPlan {
             cells.push(PlannedCell {
                 index,
                 key,
+                cost: prior_ns(&cell.design.name(), tplan.total),
                 cell,
                 prefill,
                 baseline,
@@ -313,182 +316,87 @@ impl TaskPlan {
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
     }
-}
 
-/// Everything an executor needs besides the plan: the worker-pool
-/// width, the set of plan indices already satisfied (restored from a
-/// resume journal), the cell-running closure (baseline store and trace
-/// store already wired in by the campaign), and a completion observer
-/// invoked on the coordinating thread in completion order (journal
-/// appends, progress lines).
-pub struct ExecHooks<'a> {
-    /// Worker-pool width (`1` = inline serial execution).
-    pub threads: usize,
-    /// Plan indices to skip (already completed in a previous run).
-    pub skip: &'a HashSet<usize>,
-    /// Runs one cell task to completion.
-    pub run: &'a (dyn Fn(&PlannedCell) -> CellResult + Sync),
-    /// Observes each completion, on the coordinating thread, in
-    /// completion (not grid) order.
-    pub observe: &'a mut dyn FnMut(&PlannedCell, &CellResult),
-    /// Predicted wall time (ns) per plan index, present when the
-    /// campaign has a [`CostModel`](crate::CostModel) loaded. Executors
-    /// schedule work longest-first (LPT) under it, so the most
-    /// expensive cell starts immediately and the pool's final wave
-    /// drains through cheap cells instead of stalling on a straggler.
-    /// Scheduling only: results are returned in plan order either way,
-    /// and canonical output stays byte-identical.
-    pub cost: Option<&'a [u64]>,
-}
-
-/// A strategy for executing (a partition of) a [`TaskPlan`].
-///
-/// Implementations decide *which* cells run ([`Executor::assigned`]);
-/// the default [`Executor::execute`] runs that partition on the shared
-/// worker pool, which is what both built-in executors want. Results are
-/// returned as `(plan index, result)` pairs in plan order regardless of
-/// worker scheduling, so execution strategy never changes output.
-pub trait Executor {
-    /// The plan indices this executor is responsible for, ascending.
-    fn assigned(&self, plan: &TaskPlan) -> Vec<usize>;
-
-    /// The shard coordinates of this executor's partition, 0-based
-    /// `(index, count)`. The full in-process run is `(0, 1)`.
-    fn shard(&self) -> (u32, u32) {
-        (0, 1)
-    }
-
-    /// Human-readable label for progress lines.
-    fn describe(&self) -> String;
-
-    /// Executes every assigned cell not in `hooks.skip`, one pool task
-    /// per cell, and returns the completions `(plan index, result)` in
-    /// plan order, so scheduling never changes output.
-    fn execute(&self, plan: &TaskPlan, hooks: ExecHooks<'_>) -> Vec<(usize, CellResult)> {
-        let mut indices: Vec<usize> = self
-            .assigned(plan)
-            .into_iter()
-            .filter(|i| !hooks.skip.contains(i))
-            .collect();
-        let observe = hooks.observe;
-        if let Some(cost) = hooks.cost {
-            crate::costs::order_lpt(cost, &mut indices);
-        }
-        let tasks: Vec<&PlannedCell> = indices.iter().map(|&i| &plan.cells[i]).collect();
-        let run = hooks.run;
-        let results = pool::parallel_map_observed(
-            &tasks,
-            hooks.threads,
-            |pc| run(pc),
-            // The [key=…] tag is machine-parseable culprit identity: the
-            // orchestrator greps a dead worker's log for it to decide
-            // which cell to quarantine.
-            &|pc| format!("{} [key={}]", pc.cell.describe(), pc.key.hex()),
-            &mut |slot, r| observe(tasks[slot], r),
-        );
-        let mut out: Vec<(usize, CellResult)> = indices.into_iter().zip(results).collect();
-        out.sort_by_key(|(i, _)| *i);
-        out
+    /// The plan indices `shard` runs, in the order its pool starts them
+    /// (longest predicted first). The cells' costs are LPT-packed into
+    /// `shard.count` bins and `shard` gets bin `shard.index`, so the N
+    /// shards of a partition cover every cell exactly once and finish at
+    /// about the same time. A pure function of the plan: processes that
+    /// lower the same grid under the same config agree on every shard.
+    pub fn shard(&self, shard: ShardSpec) -> Vec<usize> {
+        let costs: Vec<u64> = self.cells.iter().map(|pc| pc.cost).collect();
+        partition_balanced(&costs, shard.count).swap_remove(shard.index as usize)
     }
 }
 
-/// The historical single-process strategy: every cell of the plan runs
-/// on this process's worker pool.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InProcessExecutor;
-
-impl Executor for InProcessExecutor {
-    fn assigned(&self, plan: &TaskPlan) -> Vec<usize> {
-        (0..plan.cells.len()).collect()
-    }
-
-    fn describe(&self) -> String {
-        "in-process".to_string()
-    }
+/// Structural cost prior: `records × per-design weight` (ns). The
+/// weights follow measured per-design mean cell times at scale 16 (Ideal
+/// 1.06 s : Footprint 2.19 : Alloy 2.38 : Unison 2.86 at equal trace
+/// length); the record count carries the cache size, since a larger
+/// cache needs a longer trace to warm. Only the ordering and rough
+/// proportions matter for LPT, so precision is not required.
+pub fn prior_ns(design: &str, records: u64) -> u64 {
+    let weight = match design {
+        "Ideal" => 26,
+        "Footprint" => 54,
+        "Alloy" => 58,
+        "NoCache" => 18,
+        d if d.starts_with("Unison") => 70,
+        _ => 55,
+    };
+    records.saturating_mul(weight)
 }
 
-/// The `--shard I/N` strategy: runs exactly the cells whose [`CellKey`]
-/// lands in this shard under the deterministic N-way partition
-/// (`key % N == index`). Every shard of the same plan computes the same
-/// partition, so N machines given shards `1/N .. N/N` cover every cell
-/// exactly once with no coordination.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedExecutor {
-    shard: ShardSpec,
+/// Sorts `indices` longest-processing-time-first under `costs`
+/// (descending cost, ascending index on ties — deterministic).
+fn order_lpt(costs: &[u64], indices: &mut [usize]) {
+    indices.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
 }
 
-impl ShardedExecutor {
-    /// Builds the executor for one shard of the partition.
-    pub fn new(shard: ShardSpec) -> Self {
-        ShardedExecutor { shard }
-    }
-
-    /// The shard this executor runs.
-    pub fn spec(&self) -> ShardSpec {
-        self.shard
-    }
-}
-
-impl Executor for ShardedExecutor {
-    fn assigned(&self, plan: &TaskPlan) -> Vec<usize> {
-        plan.cells
+/// Greedy LPT bin-packing: every index `0..costs.len()` goes to the
+/// currently least-loaded of `bins` bins, taking items in descending
+/// cost order. Ties break on the lowest index / lowest bin, so the
+/// result is a deterministic pure function of its inputs. Each bin lists
+/// its indices in the order they were placed: longest first.
+fn partition_balanced(costs: &[u64], bins: u32) -> Vec<Vec<usize>> {
+    let bins = bins.max(1) as usize;
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order_lpt(costs, &mut order);
+    let mut loads = vec![0u64; bins];
+    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); bins];
+    for i in order {
+        let lightest = loads
             .iter()
-            .filter(|pc| pc.key.shard_of(self.shard.count) == self.shard.index)
-            .map(|pc| pc.index)
-            .collect()
+            .enumerate()
+            .min_by_key(|&(b, &load)| (load, b))
+            .map(|(b, _)| b)
+            .expect("at least one bin");
+        loads[lightest] = loads[lightest].saturating_add(costs[i]);
+        assignment[lightest].push(i);
     }
-
-    fn shard(&self) -> (u32, u32) {
-        (self.shard.index, self.shard.count)
-    }
-
-    fn describe(&self) -> String {
-        format!("shard {} (by cell key)", self.shard.display())
-    }
+    assignment
 }
 
-/// One shard of a cost-balanced partition: runs an explicit assignment
-/// (one bin of [`CostModel::partition`](crate::CostModel::partition))
-/// instead of the `key % N` hash split, while claiming the same shard
-/// coordinates — shard outputs verify and merge exactly like hashed
-/// ones, since coverage is always checked against the assignment.
-///
-/// The assignment is passed in rather than recomputed so the caller
-/// controls which cost model produced it; determinism across processes
-/// comes from parent and workers loading the same `costs.json`.
-#[derive(Debug, Clone)]
-pub struct BalancedExecutor {
-    shard: ShardSpec,
-    assigned: Vec<usize>,
-}
-
-impl BalancedExecutor {
-    /// Builds the executor for shard `shard` running exactly
-    /// `assigned` (plan indices, any order — execution normalizes).
-    pub fn new(shard: ShardSpec, assigned: Vec<usize>) -> Self {
-        BalancedExecutor { shard, assigned }
+/// Imbalance ratio of per-bin loads: max/mean. 1.0 is perfect balance;
+/// empty or all-zero loads also report 1.0 (nothing to balance).
+pub fn imbalance_ratio(loads: &[u64]) -> f64 {
+    if loads.is_empty() {
+        return 1.0;
     }
-}
-
-impl Executor for BalancedExecutor {
-    fn assigned(&self, _plan: &TaskPlan) -> Vec<usize> {
-        let mut a = self.assigned.clone();
-        a.sort_unstable();
-        a
+    let total: u128 = loads.iter().map(|&l| u128::from(l)).sum();
+    if total == 0 {
+        return 1.0;
     }
-
-    fn shard(&self) -> (u32, u32) {
-        (self.shard.index, self.shard.count)
-    }
-
-    fn describe(&self) -> String {
-        format!("shard {} (cost-balanced)", self.shard.display())
-    }
+    let mean = total as f64 / loads.len() as f64;
+    let max = loads.iter().copied().max().unwrap_or(0) as f64;
+    max / mean
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
     use unison_sim::{Design, Scenario, SimConfig, SystemSpec};
     use unison_trace::workloads;
 
@@ -606,8 +514,7 @@ mod tests {
         for count in [1u32, 2, 3, 5] {
             let mut seen: Vec<usize> = Vec::new();
             for index in 0..count {
-                let exec = ShardedExecutor::new(ShardSpec::new(index, count).unwrap());
-                seen.extend(exec.assigned(&plan));
+                seen.extend(plan.shard(ShardSpec::new(index, count).unwrap()));
             }
             seen.sort_unstable();
             assert_eq!(
@@ -616,10 +523,174 @@ mod tests {
                 "{count}-way partition must cover every cell exactly once"
             );
         }
-        assert_eq!(
-            InProcessExecutor.assigned(&plan),
-            (0..plan.len()).collect::<Vec<_>>()
+        // The whole plan starts longest-first.
+        let whole = plan.shard(ShardSpec::WHOLE);
+        assert!(whole
+            .windows(2)
+            .all(|w| plan.cells[w[0]].cost >= plan.cells[w[1]].cost));
+    }
+
+    #[test]
+    fn prior_orders_designs_by_measured_weight() {
+        let n = 1_000_000;
+        assert!(prior_ns("Unison", n) > prior_ns("Alloy", n));
+        assert!(prior_ns("Alloy", n) > prior_ns("Footprint", n));
+        assert!(prior_ns("Footprint", n) > prior_ns("Ideal", n));
+        assert!(prior_ns("Unison-1984B", n) > prior_ns("Ideal", n));
+    }
+
+    /// A larger cache replays a longer trace, so the same design costs
+    /// more at a larger size.
+    #[test]
+    fn planned_cost_grows_with_cache_size() {
+        let cfg = SimConfig::quick_test();
+        let plan = TaskPlan::lower(
+            &cfg,
+            &ScenarioGrid::new()
+                .designs([Design::Unison])
+                .workloads([workloads::web_search()])
+                .sizes([128 << 20, 1 << 30]),
+            true,
         );
+        let (small, large) = (&plan.cells[0], &plan.cells[1]);
+        assert_eq!(small.cell.cache_bytes, 128 << 20);
+        assert!(
+            large.cost > small.cost,
+            "1 GB predicts {} ns, 128 MB {} ns",
+            large.cost,
+            small.cost
+        );
+    }
+
+    #[test]
+    fn lpt_order_is_descending_cost_with_index_ties() {
+        let costs = [5, 9, 9, 1];
+        let mut idx = vec![0, 1, 2, 3];
+        order_lpt(&costs, &mut idx);
+        assert_eq!(idx, vec![1, 2, 0, 3]);
+    }
+
+    #[test]
+    fn balanced_partition_splits_a_skewed_load_evenly() {
+        // One heavy item and three light ones: LPT puts the heavy item
+        // alone and packs the rest together.
+        let costs = [90, 30, 30, 30];
+        let bins = partition_balanced(&costs, 2);
+        assert_eq!(bins, vec![vec![0], vec![1, 2, 3]]);
+        let loads = bin_loads(&costs, &bins);
+        assert_eq!(loads, vec![90, 90]);
+        assert!((imbalance_ratio(&loads) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn imbalance_ratio_handles_degenerate_inputs() {
+        assert_eq!(imbalance_ratio(&[]), 1.0);
+        assert_eq!(imbalance_ratio(&[0, 0]), 1.0);
+        assert!((imbalance_ratio(&[30, 10]) - 1.5).abs() < 1e-12);
+    }
+
+    /// Total cost landing in each bin of `assignment`.
+    fn bin_loads(costs: &[u64], assignment: &[Vec<usize>]) -> Vec<u64> {
+        assignment
+            .iter()
+            .map(|bin| bin.iter().map(|&i| costs[i]).sum())
+            .collect()
+    }
+
+    /// A plan over the subsets of the axes `masks` selects (each at
+    /// least one value): up to 5 designs × 4 sizes × 3 workloads × 3
+    /// seeds.
+    fn plan_of(designs: u8, sizes: u8, workloads: u8, seeds: u8) -> TaskPlan {
+        fn pick<T: Clone>(all: &[T], mask: u8) -> Vec<T> {
+            let picked: Vec<T> = all
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask >> i & 1 == 1)
+                .map(|(_, x)| x.clone())
+                .collect();
+            if picked.is_empty() {
+                all[..1].to_vec()
+            } else {
+                picked
+            }
+        }
+        let grid = ScenarioGrid::new()
+            .designs(pick(
+                &[
+                    Design::Alloy,
+                    Design::Footprint,
+                    Design::Unison,
+                    Design::Ideal,
+                    Design::NoCache,
+                ],
+                designs,
+            ))
+            .sizes(pick(&[128 << 20, 256 << 20, 512 << 20, 1 << 30], sizes))
+            .workloads(pick(
+                &[
+                    workloads::web_search(),
+                    workloads::data_serving(),
+                    workloads::tpch(),
+                ],
+                workloads,
+            ))
+            .seeds(pick(&[1, 2, 3], seeds));
+        TaskPlan::lower(&SimConfig::quick_test(), &grid, true)
+    }
+
+    proptest! {
+        /// The N shards of a plan are complete and disjoint.
+        #[test]
+        fn shards_are_complete_and_disjoint(
+            designs in 0u8..32, sizes in 0u8..16, wl in 0u8..8, seeds in 0u8..8,
+            count in 1u32..9,
+        ) {
+            let plan = plan_of(designs, sizes, wl, seeds);
+            let mut seen: Vec<usize> = (0..count)
+                .flat_map(|i| plan.shard(ShardSpec::new(i, count).unwrap()))
+                .collect();
+            seen.sort_unstable();
+            let expect: Vec<usize> = (0..plan.len()).collect();
+            prop_assert_eq!(seen, expect, "every cell exactly once");
+        }
+
+        /// Two lowerings of the same grid shard identically: the
+        /// cross-process agreement `--shard I/N` relies on.
+        #[test]
+        fn shards_are_deterministic(
+            designs in 0u8..32, sizes in 0u8..16, wl in 0u8..8, seeds in 0u8..8,
+            count in 1u32..9,
+        ) {
+            let a = plan_of(designs, sizes, wl, seeds);
+            let b = plan_of(designs, sizes, wl, seeds);
+            for i in 0..count {
+                let shard = ShardSpec::new(i, count).unwrap();
+                prop_assert_eq!(a.shard(shard), b.shard(shard));
+            }
+        }
+
+        /// The shards honour the list-scheduling guarantee
+        /// `count × makespan ≤ total + (count-1) × max_cell` — at most
+        /// one cell away from the mean load any partition must reach or
+        /// exceed.
+        #[test]
+        fn shards_respect_the_greedy_bound(
+            designs in 0u8..32, sizes in 0u8..16, wl in 0u8..8, seeds in 0u8..8,
+            count in 1u32..9,
+        ) {
+            let plan = plan_of(designs, sizes, wl, seeds);
+            let costs: Vec<u64> = plan.cells.iter().map(|pc| pc.cost).collect();
+            let shards: Vec<Vec<usize>> = (0..count)
+                .map(|i| plan.shard(ShardSpec::new(i, count).unwrap()))
+                .collect();
+            let makespan = bin_loads(&costs, &shards).into_iter().max().unwrap_or(0);
+            let total: u128 = costs.iter().map(|&c| u128::from(c)).sum();
+            let max_cell = u128::from(costs.iter().copied().max().unwrap_or(0));
+            prop_assert!(
+                u128::from(makespan) * u128::from(count)
+                    <= total + (u128::from(count) - 1) * max_cell
+            );
+        }
     }
 
     #[test]

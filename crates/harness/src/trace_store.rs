@@ -119,7 +119,7 @@ impl TraceStore {
     }
 
     /// Freezes every artifact in `tasks` in parallel on `threads`
-    /// workers — the executor's trace-prefill stage. Each task should
+    /// workers — the campaign's trace-prefill stage. Each task should
     /// carry the maximum length any dependent cell replays (the planner
     /// guarantees this), so the per-key grow-on-demand path never
     /// regenerates mid-campaign.

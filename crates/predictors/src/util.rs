@@ -4,6 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// SplitMix64 finalizer: a cheap, well-distributed 64→64 bit mixer used
 /// before folding values into small table indices.
+#[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -26,6 +27,7 @@ pub fn mix64(mut x: u64) -> u64 {
 /// assert!(fold_hash(0xdead_beef, 12) < (1 << 12));
 /// assert_eq!(fold_hash(0, 12), 0);
 /// ```
+#[inline]
 pub fn fold_hash(x: u64, bits: u32) -> u64 {
     assert!(bits > 0 && bits <= 64, "fold width must be in 1..=64");
     if bits == 64 {

@@ -1,4 +1,4 @@
-//! Tier-1 acceptance tests for the planner/executor campaign
+//! Tier-1 acceptance tests for the planner/scheduler campaign
 //! architecture: a sharded campaign, merged, must be **bit-identical**
 //! to the single-process run, and a campaign resumed after a kill must
 //! be **bit-identical** to an uninterrupted one. Both properties go
@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 
 use unison_repro::harness::fault::{FAULT_ENV, FAULT_ONCE_ENV};
 use unison_repro::harness::{
-    merge_shards, orchestrator, BalancedExecutor, Campaign, CellKey, CellResult, CostModel,
-    OrchestratorConfig, ScenarioGrid, ShardOutput, ShardSpec, TaskPlan, WorkerLaunch,
+    merge_shards, orchestrator, Campaign, CellKey, CellResult, OrchestratorConfig, ScenarioGrid,
+    ShardOutput, ShardSpec, TaskPlan, WorkerLaunch,
 };
 use unison_repro::sim::{Design, Scenario, SimConfig, SystemSpec};
 use unison_repro::trace::workloads;
@@ -68,13 +68,14 @@ fn two_shards_merged_are_bit_identical_to_the_unsharded_run() {
     let dir = scratch("shard-merge");
     let mut files = Vec::new();
     for i in 0..2u32 {
-        let out = Campaign::new(tiny())
-            .threads(2)
-            .run_shard_speedups(&g, ShardSpec::new(i, 2).unwrap());
+        let out =
+            Campaign::new(tiny())
+                .threads(2)
+                .run_plan(&g, true, ShardSpec::new(i, 2).unwrap());
         assert_eq!(out.total_cells, 16);
         assert!(
             !out.cells.is_empty() && out.cells.len() < 16,
-            "a 2-way split of 16 keyed cells should give each shard some work, \
+            "a 2-way split of 16 cells should give each shard some work, \
              got {} cells in shard {i}",
             out.cells.len()
         );
@@ -222,9 +223,10 @@ fn resume_refuses_a_journal_from_a_different_campaign() {
 
 #[test]
 fn plans_are_deterministic_across_processes_in_spirit() {
-    // Re-lowering the same grid yields the same fingerprint and keys —
-    // the property `--merge` uses to verify foreign shard files, and
-    // what makes `--shard I/N` on N machines a true partition.
+    // Re-lowering the same grid yields the same fingerprint, keys and
+    // shards — the property `--merge` uses to verify foreign shard
+    // files, and what makes `--shard I/N` on N machines a true
+    // partition.
     let cfg = tiny();
     let g = grid();
     let a = TaskPlan::lower(&cfg, &g, true);
@@ -235,11 +237,12 @@ fn plans_are_deterministic_across_processes_in_spirit() {
         assert_eq!(x.key, y.key);
         assert_eq!(x.index, y.index);
     }
-    // Shard membership is a pure function of the key.
-    for pc in &a.cells {
-        let s = pc.key.shard_of(4);
-        assert!(s < 4);
-        assert_eq!(s, b.cells[pc.index].key.shard_of(4));
+    // Shard membership is a pure function of the plan.
+    for count in [1u32, 2, 4] {
+        for index in 0..count {
+            let shard = ShardSpec::new(index, count).unwrap();
+            assert_eq!(a.shard(shard), b.shard(shard), "shard {}", shard.display());
+        }
     }
 }
 
@@ -268,23 +271,10 @@ fn subprocess_worker_entry() {
             .collect();
         campaign = campaign.exclude(keys);
     }
-    let out = if std::env::var("UNISON_TEST_PARTITION").as_deref() == Ok("balanced") {
-        // Like `sweep --shard I/N --partition balanced`: recompute the
-        // parent's deterministic LPT partition from the shared costs
-        // file and run exactly this worker's bin. If the recomputation
-        // diverged from the parent's assignment, the orchestrator's
-        // coverage verification would reject the output.
-        let model = match std::env::var("UNISON_TEST_COSTS") {
-            Ok(p) => CostModel::load(&PathBuf::from(p)).expect("costs file loads"),
-            Err(_) => CostModel::new(),
-        };
-        let plan = TaskPlan::lower(&tiny(), &grid(), true);
-        let bins = model.partition(&plan, tiny().accesses, shard.count);
-        let bin = bins[shard.index as usize].clone();
-        campaign.run_plan(&grid(), true, &BalancedExecutor::new(shard, bin))
-    } else {
-        campaign.run_shard_speedups(&grid(), shard)
-    };
+    // Like `sweep --shard I/N`: the worker recomputes its shard from
+    // the plan alone. Had it diverged from the parent's, the
+    // orchestrator's coverage verification would reject the output.
+    let out = campaign.run_plan(&grid(), true, shard);
     orchestrator::write_shard_output(&out_path, &out).expect("write shard output");
     // Exit before libtest prints its summary: the orchestrator reads the
     // exit status and the output file, nothing else.
@@ -292,11 +282,9 @@ fn subprocess_worker_entry() {
 }
 
 /// The launch closure the orchestrator tests share: re-enter this test
-/// binary as the worker, layering shared env vars (e.g. the balanced
-/// partition steering) and per-worker fault env vars on top.
-fn test_launcher_with(
+/// binary as the worker, layering per-worker fault env vars on top.
+fn test_launcher(
     faults: HashMap<u32, Vec<(String, String)>>,
-    shared: Vec<(String, String)>,
 ) -> impl Fn(&WorkerLaunch<'_>) -> Command {
     move |l| {
         let mut cmd = Command::new(std::env::current_exe().expect("test binary path"));
@@ -308,20 +296,11 @@ fn test_launcher_with(
             .env("UNISON_TEST_SKIP", l.skip.join(","))
             .env_remove(FAULT_ENV)
             .env_remove(FAULT_ONCE_ENV);
-        for (k, v) in &shared {
-            cmd.env(k, v);
-        }
         for (k, v) in faults.get(&l.worker).into_iter().flatten() {
             cmd.env(k, v);
         }
         cmd
     }
-}
-
-fn test_launcher(
-    faults: HashMap<u32, Vec<(String, String)>>,
-) -> impl Fn(&WorkerLaunch<'_>) -> Command {
-    test_launcher_with(faults, Vec::new())
 }
 
 fn canonical_json(cells: &[CellResult]) -> String {
@@ -342,7 +321,10 @@ fn orchestrated_run_with_two_injected_crashes_is_bit_identical() {
     let g = grid();
     let uninterrupted = Campaign::new(tiny()).threads(4).run_speedups(&g);
     let plan = TaskPlan::lower(&tiny(), &g, true);
-    let n0 = plan.cells.iter().filter(|c| c.key.shard_of(2) == 0).count();
+    // The workers run the plan's cost-balanced shards, which each worker
+    // recomputes on its own side; a divergence would fail coverage
+    // verification.
+    let n0 = plan.shard(ShardSpec::new(0, 2).unwrap()).len();
     let n1 = plan.len() - n0;
     assert!(
         n0 >= 1 && n1 >= 2,
@@ -390,56 +372,6 @@ fn orchestrated_run_with_two_injected_crashes_is_bit_identical() {
         outcome.result.resumed_cells, 2,
         "each restarted worker restores its one durable cell from its journal"
     );
-    assert_eq!(
-        canonical_json(&outcome.result.canonical_cells()),
-        canonical_json(&uninterrupted.canonical_cells()),
-        "orchestrated campaign with two injected crashes diverged from the \
-         uninterrupted single-process run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn balanced_partition_orchestrated_run_is_bit_identical() {
-    let g = grid();
-    let uninterrupted = Campaign::new(tiny()).threads(4).run_speedups(&g);
-    let plan = TaskPlan::lower(&tiny(), &g, true);
-
-    // Learn real costs from the uninterrupted run, like the sweep parent
-    // folding a finished campaign's wall times back into costs.json.
-    let mut model = CostModel::new();
-    for cell in uninterrupted.cells() {
-        model.observe(cell);
-    }
-    let dir = scratch("orchestrate-balanced");
-    let costs_path = dir.join("costs.json");
-    model.save(&costs_path).expect("costs save");
-
-    let assignments = model.partition(&plan, tiny().accesses, 2);
-    assert!(
-        assignments.len() == 2 && assignments.iter().all(|b| !b.is_empty()),
-        "LPT over 16 cells must give both workers work: {assignments:?}"
-    );
-    let mut cfg = test_orchestrator_config(2, dir.join("scratch"));
-    cfg.assignments = Some(assignments);
-    let shared = vec![
-        ("UNISON_TEST_PARTITION".to_string(), "balanced".to_string()),
-        (
-            "UNISON_TEST_COSTS".to_string(),
-            costs_path.display().to_string(),
-        ),
-    ];
-    // The workers independently recompute the partition from the costs
-    // file; any divergence from cfg.assignments fails coverage
-    // verification, so completing at all pins cross-process determinism.
-    let outcome = orchestrator::run(&plan, &cfg, &test_launcher_with(HashMap::new(), shared))
-        .expect("orchestrator runs");
-    assert!(
-        outcome.is_complete(),
-        "balanced partition must verify and merge: {:?}",
-        outcome.manifest
-    );
-    assert_eq!(outcome.manifest.total_restarts, 0);
     assert!(
         outcome.manifest.imbalance_ratio >= 1.0,
         "two busy workers must yield a measured imbalance ratio, got {}",
@@ -448,61 +380,8 @@ fn balanced_partition_orchestrated_run_is_bit_identical() {
     assert_eq!(
         canonical_json(&outcome.result.canonical_cells()),
         canonical_json(&uninterrupted.canonical_cells()),
-        "balanced-partition orchestrated campaign diverged from the \
-         single-process run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn balanced_partition_survives_an_injected_crash_bit_identically() {
-    let g = grid();
-    let uninterrupted = Campaign::new(tiny()).threads(4).run_speedups(&g);
-    let plan = TaskPlan::lower(&tiny(), &g, true);
-
-    let dir = scratch("orchestrate-balanced-crash");
-    let costs_path = dir.join("costs.json");
-    // Prior-only model: a first-ever balanced campaign, before any
-    // learned costs exist.
-    let model = CostModel::new();
-    model.save(&costs_path).expect("costs save");
-
-    let marker = dir.join("marker-w0");
-    let faults = HashMap::from([(
-        0u32,
-        vec![
-            (FAULT_ENV.to_string(), "crash-after-cells:1".to_string()),
-            (FAULT_ONCE_ENV.to_string(), marker.display().to_string()),
-        ],
-    )]);
-    let mut cfg = test_orchestrator_config(2, dir.join("scratch"));
-    cfg.assignments = Some(model.partition(&plan, tiny().accesses, 2));
-    let shared = vec![
-        ("UNISON_TEST_PARTITION".to_string(), "balanced".to_string()),
-        (
-            "UNISON_TEST_COSTS".to_string(),
-            costs_path.display().to_string(),
-        ),
-    ];
-    let outcome = orchestrator::run(&plan, &cfg, &test_launcher_with(faults, shared))
-        .expect("orchestrator runs");
-
-    assert!(marker.exists(), "crash-after-cells fault must have fired");
-    assert!(
-        outcome.is_complete(),
-        "crashed balanced worker must restart into the same bin: {:?}",
-        outcome.manifest
-    );
-    assert_eq!(outcome.manifest.total_restarts, 1);
-    assert_eq!(
-        outcome.result.resumed_cells, 1,
-        "the restarted worker restores its one durable cell from its journal"
-    );
-    assert_eq!(
-        canonical_json(&outcome.result.canonical_cells()),
-        canonical_json(&uninterrupted.canonical_cells()),
-        "balanced-partition campaign with an injected crash diverged from \
-         the uninterrupted single-process run"
+        "orchestrated campaign with two injected crashes diverged from the \
+         uninterrupted single-process run"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -691,9 +570,10 @@ fn sharded_runs_compute_only_their_own_dependencies() {
 
     let mut shard_baselines = 0;
     for i in 0..4u32 {
-        let out = Campaign::new(tiny())
-            .threads(2)
-            .run_shard_speedups(&g, ShardSpec::new(i, 4).unwrap());
+        let out =
+            Campaign::new(tiny())
+                .threads(2)
+                .run_plan(&g, true, ShardSpec::new(i, 4).unwrap());
         // A shard needs at most one baseline per workload it touches.
         let touched: std::collections::HashSet<&str> = out
             .cells
