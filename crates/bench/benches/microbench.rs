@@ -9,7 +9,7 @@ use unison_core::{
     FootprintCache, FootprintConfig, MemPorts, MetaStore, NoCache, PageMeta, Replacement, Request,
     UnisonCache, UnisonConfig,
 };
-use unison_dram::{DramConfig, DramModel, Location, Op, Ps, RouteMap, RowCol};
+use unison_dram::{Completion, DramConfig, DramModel, Location, Op, Ps, RouteMap, RowCol};
 use unison_predictors::{Footprint, FootprintTable, MissPredictor, WayPredictor};
 use unison_sim::{
     run_experiment_with_source, ArtifactColumns, Design, DispatchSession, SimConfig, System,
@@ -259,7 +259,8 @@ fn bench_dram(c: &mut Criterion) {
 /// (`fast_access_beats_reference_on_row_hits` in
 /// `crates/dram/tests/model_properties.rs`) pins the row-hit win ≥1.15×.
 /// `access_reference` exists only under the dram crate's `reference`
-/// feature, which this crate's dev-dependency turns on.
+/// feature, which this crate's dev-dependency turns on. The group ends
+/// with page fills as trains against the per-call loop.
 fn bench_dram_access(c: &mut Criterion) {
     let mut g = c.benchmark_group("dram_access");
     g.throughput(Throughput::Elements(1));
@@ -341,7 +342,115 @@ fn bench_dram_access(c: &mut Criterion) {
             });
         });
     }
+
+    // Footprint fills: a 15-block Unison page and a 32-block Footprint
+    // page, read off-chip and written into one stacked row, as one train
+    // per device against the per-block loop that interleaves the two.
+    for (label, blocks) in [("unison15", 15u32), ("footprint32", 32)] {
+        // Both must give every device the same completions and leave it
+        // with the same statistics before either is timed.
+        let (mut trains, mut per_call) = (MemPorts::paper_default(), MemPorts::paper_default());
+        for page in 0..256 {
+            let (mut got, mut want) = ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
+            let now = page * 200_000;
+            fill_train(&mut trains, now, page, blocks, |d, c| got[d].push(c));
+            fill_per_call(&mut per_call, now, page, blocks, |d, c| want[d].push(c));
+            assert_eq!(got, want, "{label}: trains diverged on page {page}");
+        }
+        for (a, b) in [
+            (&trains.offchip, &per_call.offchip),
+            (&trains.stacked, &per_call.stacked),
+        ] {
+            assert_eq!(a.stats(), b.stats(), "{label}: stats diverged");
+            assert_eq!(a.energy(), b.energy(), "{label}: energy diverged");
+        }
+        g.bench_function(&format!("fill_train_{label}"), |b| {
+            let mut mem = MemPorts::paper_default();
+            let mut page = 0u64;
+            b.iter(|| {
+                page += 1;
+                let mut acc = 0;
+                fill_train(&mut mem, page * 200_000, page, blocks, |_, c| {
+                    acc ^= c.last_data_ps
+                });
+                black_box(acc)
+            });
+        });
+        g.bench_function(&format!("fill_per_call_{label}"), |b| {
+            let mut mem = MemPorts::paper_default();
+            let mut page = 0u64;
+            b.iter(|| {
+                page += 1;
+                let mut acc = 0;
+                fill_per_call(&mut mem, page * 200_000, page, blocks, |_, c| {
+                    acc ^= c.last_data_ps
+                });
+                black_box(acc)
+            });
+        });
+    }
     g.finish();
+}
+
+/// Off-chip physical address of `block` of a `blocks`-block `page`.
+fn fill_addr(page: u64, blocks: u32, block: u32) -> u64 {
+    (page * u64::from(blocks) + u64::from(block)) * 64
+}
+
+/// Stacked location of `block` of `page`: each page owns one row.
+fn fill_loc(page: u64, block: u32) -> RowCol {
+    RowCol::new(page % 4096, block * 64)
+}
+
+/// A page fill as the designs issue it: one off-chip read train, then
+/// one stacked write train, each write arriving when its read completes.
+/// `each` sees every completion with its device (0 off-chip, 1 stacked).
+fn fill_train(
+    mem: &mut MemPorts,
+    now: Ps,
+    page: u64,
+    blocks: u32,
+    mut each: impl FnMut(usize, Completion),
+) {
+    let row_col = mem.offchip.row_col();
+    let mut read_done = [0; 64];
+    let mut n = 0;
+    mem.offchip.access_train(
+        Op::Read,
+        64,
+        (0..blocks).map(|b| (now, row_col(fill_addr(page, blocks, b)))),
+        |c| {
+            read_done[n] = c.last_data_ps;
+            n += 1;
+            each(0, c);
+        },
+    );
+    mem.stacked.access_train(
+        Op::Write,
+        64,
+        (0..blocks).map(|b| (read_done[b as usize], fill_loc(page, b))),
+        |c| each(1, c),
+    );
+}
+
+/// The same fill as one `access` call per block and device, interleaved.
+fn fill_per_call(
+    mem: &mut MemPorts,
+    now: Ps,
+    page: u64,
+    blocks: u32,
+    mut each: impl FnMut(usize, Completion),
+) {
+    for b in 0..blocks {
+        let rd = mem
+            .offchip
+            .access_addr(now, Op::Read, fill_addr(page, blocks, b), 64);
+        let wr = mem
+            .stacked
+            .access(rd.last_data_ps, Op::Write, fill_loc(page, b), 64);
+        each(0, rd);
+        each(1, wr);
+    }
 }
 
 fn bench_caches(c: &mut Criterion) {

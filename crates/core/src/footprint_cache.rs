@@ -143,25 +143,16 @@ impl FootprintCache {
     fn evict(&mut self, now: Ps, set: u64, way: u32, mem: &mut MemPorts) -> Ps {
         let info = self.meta.eviction_info(set, way, PAGE_BLOCKS);
         let victim_page = self.meta.tag(set, way) * self.set_div.get() + set;
-        let mut done = now;
-        for b in info.dirty.iter() {
-            let rd = mem.stacked.access(
-                now,
-                Op::Read,
-                self.data_loc(set, way, b),
-                BLOCK_BYTES as u32,
-            );
-            let wr = mem.offchip.access_addr(
-                rd.last_data_ps,
-                Op::Write,
-                Self::block_phys_addr(victim_page, b),
-                BLOCK_BYTES as u32,
-            );
-            done = done.max(wr.last_data_ps);
-            self.stats.stacked_read_bytes += BLOCK_BYTES;
-            self.stats.offchip_write_bytes += BLOCK_BYTES;
-            self.stats.writeback_blocks += 1;
-        }
+        let done = mem.write_back(
+            now,
+            info.dirty.iter(),
+            |b| self.data_loc(set, way, b),
+            |b| Self::block_phys_addr(victim_page, b),
+        );
+        let wb_blocks = u64::from(info.dirty.len());
+        self.stats.stacked_read_bytes += wb_blocks * BLOCK_BYTES;
+        self.stats.offchip_write_bytes += wb_blocks * BLOCK_BYTES;
+        self.stats.writeback_blocks += wb_blocks;
         let q = self.fp_table.observe_eviction(&info);
         self.stats.fp_predicted_blocks += q.predicted_blocks;
         self.stats.fp_actual_blocks += q.actual_blocks;
@@ -183,41 +174,17 @@ impl FootprintCache {
         mask: Footprint,
         mem: &mut MemPorts,
     ) -> (Ps, Ps) {
-        let crit = mem.offchip.access_addr(
+        let (crit, done) = mem.fill(
             now,
-            Op::Read,
-            Self::block_phys_addr(page, trigger),
-            BLOCK_BYTES as u32,
+            std::iter::once(trigger).chain(mask.iter().filter(move |&b| b != trigger)),
+            |b| Self::block_phys_addr(page, b),
+            |b| self.data_loc(set, way, b),
         );
-        self.stats.offchip_read_bytes += BLOCK_BYTES;
-        let fill = mem.stacked.access(
-            crit.last_data_ps,
-            Op::Write,
-            self.data_loc(set, way, trigger),
-            BLOCK_BYTES as u32,
-        );
-        self.stats.stacked_write_bytes += BLOCK_BYTES;
-        self.stats.fill_blocks += 1;
-        let mut done = fill.last_data_ps;
-        for b in mask.iter().filter(|&b| b != trigger) {
-            let rd = mem.offchip.access_addr(
-                now,
-                Op::Read,
-                Self::block_phys_addr(page, b),
-                BLOCK_BYTES as u32,
-            );
-            let wr = mem.stacked.access(
-                rd.last_data_ps,
-                Op::Write,
-                self.data_loc(set, way, b),
-                BLOCK_BYTES as u32,
-            );
-            self.stats.offchip_read_bytes += BLOCK_BYTES;
-            self.stats.stacked_write_bytes += BLOCK_BYTES;
-            self.stats.fill_blocks += 1;
-            done = done.max(wr.last_data_ps);
-        }
-        (crit.first_data_ps, done)
+        let blocks = u64::from(mask.len());
+        self.stats.offchip_read_bytes += blocks * BLOCK_BYTES;
+        self.stats.stacked_write_bytes += blocks * BLOCK_BYTES;
+        self.stats.fill_blocks += blocks;
+        (crit, done)
     }
 }
 

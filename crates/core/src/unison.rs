@@ -341,24 +341,17 @@ impl UnisonCache {
         self.stats.stacked_read_bytes += 8;
 
         // Dirty blocks: read out of the cache row, write back off-chip.
-        for b in info.dirty.iter() {
-            let rd = mem.stacked.access(
-                meta.last_data_ps,
-                Op::Read,
-                self.data_loc(at, way, b),
-                BLOCK_BYTES as u32,
-            );
-            let wr = mem.offchip.access_addr(
-                rd.last_data_ps,
-                Op::Write,
-                self.block_phys_addr(victim_page, b),
-                BLOCK_BYTES as u32,
-            );
-            done = done.max(wr.last_data_ps);
-            self.stats.stacked_read_bytes += BLOCK_BYTES;
-            self.stats.offchip_write_bytes += BLOCK_BYTES;
-            self.stats.writeback_blocks += 1;
-        }
+        let wb_done = mem.write_back(
+            meta.last_data_ps,
+            info.dirty.iter(),
+            |b| self.data_loc(at, way, b),
+            |b| self.block_phys_addr(victim_page, b),
+        );
+        done = done.max(wb_done);
+        let wb_blocks = u64::from(info.dirty.len());
+        self.stats.stacked_read_bytes += wb_blocks * BLOCK_BYTES;
+        self.stats.offchip_write_bytes += wb_blocks * BLOCK_BYTES;
+        self.stats.writeback_blocks += wb_blocks;
 
         // Train the footprint predictor with the actual footprint and
         // record the prediction-quality accounting (Table V).
@@ -387,42 +380,17 @@ impl UnisonCache {
         mem: &mut MemPorts,
     ) -> (Ps, Ps) {
         debug_assert!(mask.contains(trigger));
-        let crit = mem.offchip.access_addr(
+        let (crit, done) = mem.fill(
             now,
-            Op::Read,
-            self.block_phys_addr(page, trigger),
-            BLOCK_BYTES as u32,
+            std::iter::once(trigger).chain(mask.iter().filter(move |&b| b != trigger)),
+            |b| self.block_phys_addr(page, b),
+            |b| self.data_loc(at, way, b),
         );
-        self.stats.offchip_read_bytes += BLOCK_BYTES;
-        let fill = mem.stacked.access(
-            crit.last_data_ps,
-            Op::Write,
-            self.data_loc(at, way, trigger),
-            BLOCK_BYTES as u32,
-        );
-        self.stats.stacked_write_bytes += BLOCK_BYTES;
-        self.stats.fill_blocks += 1;
-        let mut done = fill.last_data_ps;
-
-        for b in mask.iter().filter(|&b| b != trigger) {
-            let rd = mem.offchip.access_addr(
-                now,
-                Op::Read,
-                self.block_phys_addr(page, b),
-                BLOCK_BYTES as u32,
-            );
-            let wr = mem.stacked.access(
-                rd.last_data_ps,
-                Op::Write,
-                self.data_loc(at, way, b),
-                BLOCK_BYTES as u32,
-            );
-            self.stats.offchip_read_bytes += BLOCK_BYTES;
-            self.stats.stacked_write_bytes += BLOCK_BYTES;
-            self.stats.fill_blocks += 1;
-            done = done.max(wr.last_data_ps);
-        }
-        (crit.first_data_ps, done)
+        let blocks = u64::from(mask.len());
+        self.stats.offchip_read_bytes += blocks * BLOCK_BYTES;
+        self.stats.stacked_write_bytes += blocks * BLOCK_BYTES;
+        self.stats.fill_blocks += blocks;
+        (crit, done)
     }
 }
 
@@ -474,16 +442,14 @@ impl DramCacheModel for UnisonCache {
                 speculative_read_done = d.last_data_ps;
             }
             WayPolicy::ParallelFetch => {
-                for w in 0..self.cfg.assoc.min(self.layout.pages_per_row) {
-                    let d = mem.stacked.access(
-                        t0,
-                        Op::Read,
-                        self.data_loc(at, w, offset),
-                        BLOCK_BYTES as u32,
-                    );
-                    self.stats.stacked_read_bytes += BLOCK_BYTES;
-                    speculative_read_done = speculative_read_done.max(d.last_data_ps);
-                }
+                let ways = self.cfg.assoc.min(self.layout.pages_per_row);
+                mem.stacked.access_train(
+                    Op::Read,
+                    BLOCK_BYTES as u32,
+                    (0..ways).map(|w| (t0, self.data_loc(at, w, offset))),
+                    |d| speculative_read_done = speculative_read_done.max(d.last_data_ps),
+                );
+                self.stats.stacked_read_bytes += u64::from(ways) * BLOCK_BYTES;
             }
             WayPolicy::SerialTagData => {} // data read issued after tags
         }

@@ -140,6 +140,79 @@ impl TimingTable {
             None => cfg.burst_ps(bytes),
         }
     }
+
+    /// The step every access takes once its row is open: when its CAS
+    /// may issue, the write-to-read turnaround, the wait for the channel
+    /// bus, the data burst, and the horizons it leaves for the next
+    /// access. `activated` is `None` for a row hit, which waits only for
+    /// `earliest_cas`; an access that just activated its row passes the
+    /// CAS time `DramModel::activate` returned and whether it closed
+    /// another row. [`DramModel::access`] and the row-hit runs of
+    /// [`DramModel::access_train`] share it.
+    #[inline(always)]
+    fn step(
+        &self,
+        h: &mut RowHorizons,
+        now: Ps,
+        activated: Option<(Ps, bool)>,
+        is_read: bool,
+        burst: Ps,
+    ) -> Completion {
+        let cas_ready = match activated {
+            None => now.max(h.earliest_cas),
+            Some((ready, _)) => ready,
+        };
+        // Write-to-read turnaround within the rank.
+        let cas_ready = if is_read {
+            cas_ready.max(h.wtr_ready)
+        } else {
+            cas_ready
+        };
+        let cmd_to_data = if is_read { self.cas_ps } else { self.cwd_ps };
+        // The data burst needs the channel bus; if the bus is still busy,
+        // the column command slides later.
+        let data_start = (cas_ready + cmd_to_data).max(h.bus_free);
+        let cas_at = data_start - cmd_to_data;
+        let data_end = data_start + burst;
+        h.bus_free = data_end;
+
+        // Bank horizons left behind for the next access. `earliest_cas`
+        // approximates tCCD with the burst occupancy of this access.
+        h.earliest_cas = h.earliest_cas.max(cas_at + burst);
+        let pre_after = if is_read {
+            cas_at + self.rtp_ps
+        } else {
+            data_end + self.wr_ps
+        };
+        h.earliest_pre = h.earliest_pre.max(h.act_at + self.ras_ps).max(pre_after);
+        if !is_read {
+            h.wtr_ready = data_end + self.wtr_ps;
+        }
+
+        // First beat completes after half a device clock (one DDR beat).
+        let first_data_ps = data_start + self.half_clock_ps;
+        Completion {
+            cas_ps: cas_at,
+            first_data_ps: first_data_ps.min(data_end),
+            last_data_ps: data_end,
+            row_hit: activated.is_none(),
+            activated: activated.is_some(),
+            conflict: activated.is_some_and(|(_, conflict)| conflict),
+        }
+    }
+}
+
+/// The timing state an access to an open row reads and advances: its
+/// bank's CAS and PRE horizons (and ACT time), its rank's write-to-read
+/// turnaround and its channel's bus. An access loads it, and a train
+/// keeps it in locals for as long as it stays in one row.
+#[derive(Debug, Clone, Copy)]
+struct RowHorizons {
+    earliest_cas: Ps,
+    earliest_pre: Ps,
+    act_at: Ps,
+    wtr_ready: Ps,
+    bus_free: Ps,
 }
 
 /// A single DRAM device (stacked cache DRAM or off-chip main memory).
@@ -159,6 +232,11 @@ impl TimingTable {
 /// `reference` feature, `access_reference` retains the original div/mod +
 /// multiply path as the executable reference the property suite races
 /// bit-for-bit.
+///
+/// A run of same-sized accesses, such as a footprint fill or a dirty-page
+/// writeback, goes through [`Self::access_train`] as one call: it shares
+/// the row-hit step with [`Self::access`] and keeps a row's horizons in
+/// locals while the run stays in that row.
 ///
 /// Each counter is kept once: the energy model's command and activation
 /// counts are the [`DramStats`] counts, so [`Self::energy`] derives them
@@ -273,94 +351,169 @@ impl DramModel {
     /// masks (via the precomputed [`RouteMap`]), every timing constraint
     /// is a premultiplied picosecond constant, and burst durations come
     /// from a per-beat-count lookup table. The common case — a row hit —
-    /// runs straight through without touching the ACT/PRE/`tFAW` machinery
-    /// in [`Self::activate`]. Bit-identical to `access_reference` (pinned
-    /// by `crates/dram/tests/model_properties.rs` across presets, both
-    /// ops, and non-pow2 fallback geometry).
+    /// runs straight through the row-hit step without touching the
+    /// ACT/PRE/`tFAW` machinery in [`Self::activate`], which stays out of
+    /// line. `access` itself is `#[inline(always)]`, so the designs in
+    /// other crates inline the row-hit path instead of calling it: with
+    /// no LTO in the release profile, a plain `#[inline]` left a call at
+    /// every design's call site.
+    /// Bit-identical to `access_reference` (pinned by
+    /// `crates/dram/tests/model_properties.rs` across presets, both ops,
+    /// and non-pow2 fallback geometry).
     ///
     /// # Panics
     ///
     /// Debug-asserts that the access fits within one row.
+    #[inline(always)]
     pub fn access(&mut self, now: Ps, op: Op, rc: RowCol, bytes: u32) -> Completion {
         debug_assert!(
             rc.col_byte + bytes <= self.cfg.row_bytes,
             "access must not cross a row boundary"
         );
-        let FlatRoute {
-            channel: ch,
-            rank: rank_idx,
-            bank: bank_idx,
-        } = self.flat_route(rc.row);
         let is_read = op == Op::Read;
+        let burst = self.timing.burst(bytes, &self.cfg);
+        let (route, h, c) = self.open(now, rc.row, is_read, burst);
+        self.close(route, h);
+        self.count(
+            is_read,
+            bytes,
+            burst,
+            1,
+            u64::from(c.row_hit),
+            u64::from(c.conflict),
+        );
+        c
+    }
 
-        // Row-hit fast path: one bank-state load, one compare, one max —
-        // none of the activation state is touched.
-        let bank = self.banks[bank_idx];
-        let row_hit = bank.is_open(rc.row);
-        let (mut cas_ready, activated, conflict) = if row_hit {
-            (now.max(bank.earliest_cas), false, false)
-        } else {
-            let (ready, conflict) = self.activate(now, rc.row, bank_idx, rank_idx);
-            (ready, true, conflict)
-        };
-
-        // Write-to-read turnaround within the rank.
-        if is_read {
-            cas_ready = cas_ready.max(self.ranks[rank_idx].wtr_ready);
-        }
-
-        let t = &self.timing;
-        let cmd_to_data = if is_read { t.cas_ps } else { t.cwd_ps };
-        let burst = t.burst(bytes, &self.cfg);
-        let (rtp_ps, wr_ps, ras_ps, wtr_ps, half_clock_ps) =
-            (t.rtp_ps, t.wr_ps, t.ras_ps, t.wtr_ps, t.half_clock_ps);
-        // The data burst needs the channel bus; if the bus is still busy,
-        // the column command slides later.
-        let data_start = (cas_ready + cmd_to_data).max(self.bus_free[ch]);
-        let cas_at = data_start - cmd_to_data;
-        let data_end = data_start + burst;
-        self.bus_free[ch] = data_end;
-
-        // Bank horizons left behind for the next access.
-        {
-            let b = &mut self.banks[bank_idx];
-            // Approximates tCCD with the burst occupancy of this access.
-            b.earliest_cas = b.earliest_cas.max(cas_at + burst);
-            let pre_after = if is_read {
-                cas_at + rtp_ps
-            } else {
-                data_end + wr_ps
+    /// Performs a *train* of same-sized column accesses: one `op` of
+    /// `bytes` per `(arrival, location)` in `reqs`, in order, handing
+    /// each [`Completion`] to `each`. The device ends in the state, and
+    /// `each` sees the completions, that calling [`Self::access`] once
+    /// per request would give.
+    ///
+    /// A footprint fill or writeback is such a train: its blocks share
+    /// one DRAM row, so every request after the first is a row hit. While
+    /// consecutive requests stay in one row, the train keeps that row's
+    /// bank, rank and bus horizons in locals and runs only the row-hit
+    /// step; a row change writes them back and takes the general path.
+    /// The statistics are added once per train.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # use unison_dram::{DramConfig, DramModel, Op, RowCol};
+    /// let mut dram = DramModel::new(DramConfig::stacked());
+    /// // Four 64 B blocks written into row 3, all arriving at time 0.
+    /// let mut done = 0;
+    /// let blocks = (0..4).map(|b| (0, RowCol::new(3, b * 64)));
+    /// dram.access_train(Op::Write, 64, blocks, |c| done = c.last_data_ps);
+    /// assert_eq!(dram.stats().writes, 4);
+    /// assert_eq!(dram.stats().row_hits, 3);
+    /// assert!(done > 0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that every access fits within one row.
+    #[inline]
+    pub fn access_train<I, F>(&mut self, op: Op, bytes: u32, reqs: I, mut each: F)
+    where
+        I: IntoIterator<Item = (Ps, RowCol)>,
+        F: FnMut(Completion),
+    {
+        let is_read = op == Op::Read;
+        let burst = self.timing.burst(bytes, &self.cfg);
+        let row_bytes = self.cfg.row_bytes;
+        let (mut n, mut hits, mut conflicts) = (0u64, 0u64, 0u64);
+        let mut reqs = reqs.into_iter();
+        let mut next = reqs.next();
+        while let Some((now, rc)) = next {
+            debug_assert!(
+                rc.col_byte + bytes <= row_bytes,
+                "access must not cross a row boundary"
+            );
+            let (route, mut h, c) = self.open(now, rc.row, is_read, burst);
+            n += 1;
+            hits += u64::from(c.row_hit);
+            conflicts += u64::from(c.conflict);
+            each(c);
+            // The rest of the run to this row: row hits by construction.
+            next = loop {
+                match reqs.next() {
+                    Some((now, same)) if same.row == rc.row => {
+                        debug_assert!(
+                            same.col_byte + bytes <= row_bytes,
+                            "access must not cross a row boundary"
+                        );
+                        n += 1;
+                        hits += 1;
+                        each(self.timing.step(&mut h, now, None, is_read, burst));
+                    }
+                    other => break other,
+                }
             };
-            b.earliest_pre = b.earliest_pre.max(b.act_at + ras_ps).max(pre_after);
+            self.close(route, h);
         }
-        if !is_read {
-            self.ranks[rank_idx].wtr_ready = data_end + wtr_ps;
-        }
+        self.count(is_read, bytes, burst, n, hits, conflicts);
+    }
 
-        // Statistics; the hit/empty/conflict classification is
-        // branchless (the three counts are disjoint indicator sums).
+    /// The general path of one access: routes `row`, activates it unless
+    /// it is open, loads its horizons, and runs the step. The
+    /// caller writes the horizons back with [`Self::close`].
+    #[inline(always)]
+    fn open(
+        &mut self,
+        now: Ps,
+        row: u64,
+        is_read: bool,
+        burst: Ps,
+    ) -> (FlatRoute, RowHorizons, Completion) {
+        let route = self.flat_route(row);
+        let activated = (!self.banks[route.bank].is_open(row))
+            .then(|| self.activate(now, row, route.bank, route.rank));
+        let mut h = self.horizons(route);
+        let c = self.timing.step(&mut h, now, activated, is_read, burst);
+        (route, h, c)
+    }
+
+    /// Loads the horizons an access to an open row reads and advances.
+    #[inline(always)]
+    fn horizons(&self, route: FlatRoute) -> RowHorizons {
+        let b = &self.banks[route.bank];
+        RowHorizons {
+            earliest_cas: b.earliest_cas,
+            earliest_pre: b.earliest_pre,
+            act_at: b.act_at,
+            wtr_ready: self.ranks[route.rank].wtr_ready,
+            bus_free: self.bus_free[route.channel],
+        }
+    }
+
+    /// Writes back the horizons [`Self::open`] loaded.
+    #[inline(always)]
+    fn close(&mut self, route: FlatRoute, h: RowHorizons) {
+        let b = &mut self.banks[route.bank];
+        b.earliest_cas = h.earliest_cas;
+        b.earliest_pre = h.earliest_pre;
+        self.ranks[route.rank].wtr_ready = h.wtr_ready;
+        self.bus_free[route.channel] = h.bus_free;
+    }
+
+    /// Adds `n` accesses of one op and size to the statistics, `hits` of
+    /// them row hits and `conflicts` of them row conflicts.
+    #[inline(always)]
+    fn count(&mut self, is_read: bool, bytes: u32, burst: Ps, n: u64, hits: u64, conflicts: u64) {
         if is_read {
-            self.stats.reads += 1;
-            self.bytes_read += u64::from(bytes);
+            self.stats.reads += n;
+            self.bytes_read += n * u64::from(bytes);
         } else {
-            self.stats.writes += 1;
-            self.bytes_written += u64::from(bytes);
+            self.stats.writes += n;
+            self.bytes_written += n * u64::from(bytes);
         }
-        self.stats.row_hits += u64::from(row_hit);
-        self.stats.row_conflicts += u64::from(conflict);
-        self.stats.row_empty += u64::from(!row_hit && !conflict);
-        self.stats.bus_busy_ps += burst;
-
-        // First beat completes after half a device clock (one DDR beat).
-        let first_data_ps = data_start + half_clock_ps;
-        Completion {
-            cas_ps: cas_at,
-            first_data_ps: first_data_ps.min(data_end),
-            last_data_ps: data_end,
-            row_hit,
-            activated,
-            conflict,
-        }
+        self.stats.row_hits += hits;
+        self.stats.row_conflicts += conflicts;
+        self.stats.row_empty += n - hits - conflicts;
+        self.stats.bus_busy_ps += n * burst;
     }
 
     /// The activation slow path: needs an ACT, maybe a PRE first, under
@@ -548,12 +701,22 @@ impl DramModel {
         }
     }
 
-    /// Convenience: access by physical byte address (linear row mapping).
-    pub fn access_addr(&mut self, now: Ps, op: Op, addr: u64, bytes: u32) -> Completion {
-        let rc = match self.route {
+    /// The physical-address split [`Self::access_addr`] applies (linear
+    /// row mapping), detached from the device: a caller maps a train's
+    /// addresses with it while the device itself runs the train.
+    #[inline]
+    pub fn row_col(&self) -> impl Fn(u64) -> RowCol + Copy {
+        let (route, row_bytes) = (self.route, self.cfg.row_bytes);
+        move |addr| match route {
             Some(map) => map.row_col(addr),
-            None => RowCol::from_phys_addr(addr, self.cfg.row_bytes),
-        };
+            None => RowCol::from_phys_addr(addr, row_bytes),
+        }
+    }
+
+    /// Convenience: access by physical byte address (linear row mapping).
+    #[inline(always)]
+    pub fn access_addr(&mut self, now: Ps, op: Op, addr: u64, bytes: u32) -> Completion {
+        let rc = self.row_col()(addr);
         self.access(now, op, rc, bytes)
     }
 }

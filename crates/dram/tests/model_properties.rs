@@ -16,6 +16,10 @@
 //! deliberately non-pow2 geometry that forces the div/mod routing
 //! fallback and the `burst_ps` recompute fallback inside the fast path.
 //!
+//! A second race pins [`DramModel::access_train`] to one
+//! [`DramModel::access`] call per request, over trains that repeat a row,
+//! change rows, conflict within a bank and arrive out of order.
+//!
 //! `access_reference` is not part of the release API: it compiles under
 //! the crate's `reference` feature, which the crate's dev-dependency on
 //! itself turns on for these tests.
@@ -150,6 +154,119 @@ proptest! {
                 now += 10_000;
             }
         }
+    }
+}
+
+/// One train request: a row selector, a column seed, and the signed
+/// offset of its arrival from the train's base time.
+type TrainReq = (u8, u32, i32);
+
+/// A train: operation selector, burst-size selector, base arrival time
+/// and its requests.
+type Train = (bool, u8, u32, Vec<TrainReq>);
+
+/// Decodes a train against a geometry. Rows come from a short list that
+/// the requests mostly repeat: `base`, its neighbour on another bank, and
+/// `base` plus the bank count, which shares `base`'s bank (a conflict).
+/// Arrival times move back and forth around the base.
+fn decode_train(train: &Train, cfg: &DramConfig) -> (Op, u32, Vec<(u64, RowCol)>) {
+    let (is_write, bytes_sel, base, reqs) = train;
+    let op = if *is_write { Op::Write } else { Op::Read };
+    let bytes = burst_bytes(*bytes_sel, cfg.row_bytes);
+    let banks = u64::from(cfg.total_banks());
+    let rows = [5, 5, 5, 6, 5 + banks, 5 + 2 * banks];
+    let base = u64::from(*base % 1_000_000) + 100_000;
+    let reqs = reqs
+        .iter()
+        .map(|&(row_sel, col_raw, offset)| {
+            let row = rows[usize::from(row_sel) % rows.len()];
+            let col_byte = col_raw % (cfg.row_bytes - bytes + 1);
+            let at = base.saturating_add_signed(i64::from(offset % 100_000));
+            (at, RowCol::new(row, col_byte))
+        })
+        .collect();
+    (op, bytes, reqs)
+}
+
+/// Runs `trains` through one model as trains and through another as one
+/// [`DramModel::access`] call per request, asserting every completion,
+/// the statistics, the energy and the bus horizons match after each
+/// train, and that one more access on each device still agrees.
+fn race_trains(cfg: DramConfig, trains: Vec<Train>) {
+    let name = cfg.name;
+    let mut train = DramModel::new(cfg.clone());
+    let mut per_call = DramModel::new(cfg.clone());
+    for (t, spec) in trains.iter().enumerate() {
+        let (op, bytes, reqs) = decode_train(spec, &cfg);
+        let mut got = Vec::new();
+        train.access_train(op, bytes, reqs.iter().copied(), |c| got.push(c));
+        let want: Vec<Completion> = reqs
+            .iter()
+            .map(|&(at, rc)| per_call.access(at, op, rc, bytes))
+            .collect();
+        assert_eq!(got, want, "{name}: train {t} ({op:?} x{bytes}) diverged");
+        assert_eq!(
+            train.stats(),
+            per_call.stats(),
+            "{name}: stats diverged after train {t}"
+        );
+        assert_eq!(
+            train.energy(),
+            per_call.energy(),
+            "{name}: energy diverged after train {t}"
+        );
+        for row in 0..96 {
+            assert_eq!(
+                train.channel_free_at(row),
+                per_call.channel_free_at(row),
+                "{name}: bus horizon diverged on row {row} after train {t}"
+            );
+        }
+    }
+    // The bank and rank horizons a train left behind show in the next
+    // access: a read and a write to every row the trains used.
+    let banks = u64::from(cfg.total_banks());
+    for (i, row) in [5, 6, 5 + banks, 5 + 2 * banks].into_iter().enumerate() {
+        for op in [Op::Read, Op::Write] {
+            let at = 200_000 + 1_000 * i as u64;
+            let rc = RowCol::new(row, 0);
+            assert_eq!(
+                train.access(at, op, rc, 64),
+                per_call.access(at, op, rc, 64),
+                "{name}: follow-up {op:?} to row {row} diverged"
+            );
+        }
+    }
+}
+
+fn trains_strategy() -> impl Strategy<Value = Vec<Train>> {
+    proptest::collection::vec(
+        (
+            any::<bool>(),
+            any::<u8>(),
+            any::<u32>(),
+            proptest::collection::vec((any::<u8>(), any::<u32>(), any::<i32>()), 0..40),
+        ),
+        1..6,
+    )
+}
+
+proptest! {
+    /// A train of requests leaves every preset device exactly where one
+    /// `access` call per request leaves it, with the same completions.
+    #[test]
+    fn train_matches_per_call_access_on_presets(
+        preset_idx in 0usize..DramPreset::ALL.len(),
+        trains in trains_strategy(),
+    ) {
+        race_trains(DramPreset::ALL[preset_idx].config(), trains);
+    }
+
+    /// The same race on the non-pow2 geometry, whose routing and burst
+    /// lengths take the fallback arithmetic.
+    #[test]
+    fn train_matches_per_call_access_on_non_pow2_fallback(trains in trains_strategy()) {
+        race_trains(non_pow2_config(), trains);
     }
 }
 

@@ -151,8 +151,9 @@ pub struct WorkerReport {
     /// Cells recovered from this worker (verified output, or journal
     /// salvage for a failed worker).
     pub cells: usize,
-    /// Wall time this worker spent simulating cells, ns
-    /// (`timing.cells_ns` of its verified output; 0 when it never
+    /// Cell-simulation time of this worker, ns: the summed `wall_ns` of
+    /// every cell in its verified output, including cells an incarnation
+    /// restored from the journal an earlier one wrote (0 when it never
     /// completed). Feeds the manifest's imbalance ratio.
     pub busy_ns: u64,
     /// The last failure observed, if any.
@@ -675,7 +676,7 @@ fn assemble(
     let busy: Vec<u64> = workers
         .iter()
         .filter_map(|w| match &w.phase {
-            Phase::Done(out) => Some(out.timing.cells_ns),
+            Phase::Done(out) => Some(busy_ns(out)),
             _ => None,
         })
         .collect();
@@ -828,11 +829,19 @@ fn report_of(w: &Worker, completed: bool) -> WorkerReport {
             _ => 0,
         },
         busy_ns: match &w.phase {
-            Phase::Done(out) => out.timing.cells_ns,
+            Phase::Done(out) => busy_ns(out),
             _ => 0,
         },
         last_error: w.last_error.clone(),
     }
+}
+
+/// Cell-simulation time a worker's output accounts for: the journaled
+/// `wall_ns` of every cell it delivered. A restarted worker's last
+/// incarnation timed only the cells it ran itself; the cells it restored
+/// were simulated, and timed, by the incarnations before it.
+fn busy_ns(out: &ShardOutput) -> u64 {
+    out.cells.iter().map(|c| c.result.wall_ns).sum()
 }
 
 fn write_manifest(path: &Path, manifest: &CampaignManifest) -> Result<(), String> {

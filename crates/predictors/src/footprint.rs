@@ -142,9 +142,20 @@ impl Footprint {
     }
 
     /// Iterates over the block indices in the footprint, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        let mask = self.mask;
-        (0..u32::from(self.blocks)).filter(move |b| mask & (1u64 << b) != 0)
+    ///
+    /// Walks only the set bits: each step takes the lowest one
+    /// (`trailing_zeros`) and clears it, so a fill or writeback of `k`
+    /// blocks costs `k` steps, not one per block of the page.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = u32> + Clone {
+        let mut rest = self.mask;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros();
+                rest &= rest - 1;
+                b
+            })
+        })
     }
 }
 

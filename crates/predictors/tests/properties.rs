@@ -26,6 +26,28 @@ proptest! {
         prop_assert_eq!(covered.len() + over.len(), predicted.len());
     }
 
+    /// `Footprint::iter` walks the set bits and yields exactly what the
+    /// filter over every block of the page yields, in the same order, on
+    /// dense and sparse masks and every page size.
+    #[test]
+    fn footprint_iter_matches_the_block_filter(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        sparse in any::<bool>(),
+        blocks in 1u32..=64,
+    ) {
+        let raw = if sparse { a & b & (b >> 7) } else { a };
+        let f = Footprint::from_mask(raw, blocks);
+        let filtered: Vec<u32> = (0..blocks)
+            .filter(|&blk| f.mask() & (1u64 << blk) != 0)
+            .collect();
+        prop_assert_eq!(f.iter().collect::<Vec<_>>(), filtered.clone());
+        prop_assert_eq!(f.iter().count(), f.len() as usize);
+        let full = Footprint::full(blocks);
+        prop_assert_eq!(full.iter().collect::<Vec<_>>(), (0..blocks).collect::<Vec<_>>());
+        prop_assert_eq!(Footprint::empty(blocks).iter().next(), None);
+    }
+
     /// The footprint table matches a reference model of its per-block
     /// 2-bit counters: present blocks increment (new entries start at 2),
     /// absent blocks decrement, prediction is counter >= 2.

@@ -386,6 +386,47 @@ fn orchestrated_run_with_two_injected_crashes_is_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A restarted worker's busy time counts every cell it delivered: the
+/// cell its first incarnation simulated and journaled before crashing
+/// is restored, not re-run, by the second, and its journaled `wall_ns`
+/// still counts toward the worker's `busy_ns`.
+#[test]
+fn crashed_worker_busy_time_counts_its_restored_cell() {
+    let g = grid();
+    let plan = TaskPlan::lower(&tiny(), &g, true);
+    let dir = scratch("orchestrate-busy");
+    let marker = dir.join("marker-w0");
+    let faults = HashMap::from([(
+        0u32,
+        vec![
+            (FAULT_ENV.to_string(), "crash-after-cells:1".to_string()),
+            (FAULT_ONCE_ENV.to_string(), marker.display().to_string()),
+        ],
+    )]);
+    let cfg = test_orchestrator_config(2, dir.join("scratch"));
+    let outcome =
+        orchestrator::run(&plan, &cfg, &test_launcher(faults)).expect("orchestrator runs");
+    assert!(marker.exists(), "crash-after-cells fault must have fired");
+    assert!(outcome.is_complete(), "{:?}", outcome.manifest);
+    assert_eq!(outcome.result.resumed_cells, 1, "one cell restored");
+
+    // Every delivered cell carries its own simulation time, and each
+    // worker's busy time is the sum over the cells of its shard.
+    let cells = &outcome.result.cells;
+    assert!(cells.iter().all(|c| c.wall_ns > 0), "cells must be timed");
+    for report in &outcome.manifest.workers {
+        let shard = plan.shard(ShardSpec::new(report.worker, 2).unwrap());
+        let delivered: u64 = shard.iter().map(|&i| cells[i].wall_ns).sum();
+        assert_eq!(
+            report.busy_ns, delivered,
+            "worker {} (restarts {}): busy time must count every delivered cell",
+            report.worker, report.restarts
+        );
+    }
+    assert_eq!(outcome.manifest.workers[0].restarts, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn worker_exceeding_restart_budget_yields_partial_manifest() {
     let g = grid();
