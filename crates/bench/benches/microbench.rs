@@ -344,33 +344,22 @@ fn bench_dram_access(c: &mut Criterion) {
     }
 
     // Footprint fills: a 15-block Unison page and a 32-block Footprint
-    // page, read off-chip and written into one stacked row, as one train
-    // per device against the per-block loop that interleaves the two.
+    // page, read off-chip and written into one stacked row, through one
+    // session per device against one `access` call per block and device.
     for (label, blocks) in [("unison15", 15u32), ("footprint32", 32)] {
-        // Both must give every device the same completions and leave it
-        // with the same statistics before either is timed.
-        let (mut trains, mut per_call) = (MemPorts::paper_default(), MemPorts::paper_default());
-        for page in 0..256 {
-            let (mut got, mut want) = ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
-            let now = page * 200_000;
-            fill_train(&mut trains, now, page, blocks, |d, c| got[d].push(c));
-            fill_per_call(&mut per_call, now, page, blocks, |d, c| want[d].push(c));
-            assert_eq!(got, want, "{label}: trains diverged on page {page}");
-        }
-        for (a, b) in [
-            (&trains.offchip, &per_call.offchip),
-            (&trains.stacked, &per_call.stacked),
-        ] {
-            assert_eq!(a.stats(), b.stats(), "{label}: stats diverged");
-            assert_eq!(a.energy(), b.energy(), "{label}: energy diverged");
-        }
-        g.bench_function(&format!("fill_train_{label}"), |b| {
+        same_on_both_paths(
+            label,
+            256,
+            |mem, page, each| fill_session(mem, page * 200_000, page, blocks, each),
+            |mem, page, each| fill_per_call(mem, page * 200_000, page, blocks, each),
+        );
+        g.bench_function(&format!("fill_session_{label}"), |b| {
             let mut mem = MemPorts::paper_default();
             let mut page = 0u64;
             b.iter(|| {
                 page += 1;
                 let mut acc = 0;
-                fill_train(&mut mem, page * 200_000, page, blocks, |_, c| {
+                fill_session(&mut mem, page * 200_000, page, blocks, |_, c| {
                     acc ^= c.last_data_ps
                 });
                 black_box(acc)
@@ -389,7 +378,62 @@ fn bench_dram_access(c: &mut Criterion) {
             });
         });
     }
+
+    // A Unison write hit: a 32 B metadata read, a 64 B data read and a
+    // 64 B store at the read's completion, all to the set's row.
+    same_on_both_paths(
+        "unison_hit",
+        4096,
+        |mem, set, each| unison_hit_session(mem, set, each),
+        |mem, set, each| unison_hit_per_call(mem, set, each),
+    );
+    g.bench_function("unison_hit_session", |b| {
+        let mut mem = MemPorts::paper_default();
+        let mut set = 0u64;
+        b.iter(|| {
+            set += 1;
+            let mut acc = 0;
+            unison_hit_session(&mut mem, set, |_, c| acc ^= c.last_data_ps);
+            black_box(acc)
+        });
+    });
+    g.bench_function("unison_hit_per_call", |b| {
+        let mut mem = MemPorts::paper_default();
+        let mut set = 0u64;
+        b.iter(|| {
+            set += 1;
+            let mut acc = 0;
+            unison_hit_per_call(&mut mem, set, |_, c| acc ^= c.last_data_ps);
+            black_box(acc)
+        });
+    });
     g.finish();
+}
+
+/// Completions a microbench kernel hands out, with their device (0
+/// off-chip, 1 stacked).
+type Each<'a> = &'a mut dyn FnMut(usize, Completion);
+
+/// Runs `n` rounds of a session kernel and its per-call twin on two
+/// fresh port pairs and asserts every device sees the same completions
+/// and ends with the same statistics and energy, before either is timed.
+fn same_on_both_paths(
+    label: &str,
+    n: u64,
+    session: impl Fn(&mut MemPorts, u64, Each),
+    per_call: impl Fn(&mut MemPorts, u64, Each),
+) {
+    let (mut a, mut b) = (MemPorts::paper_default(), MemPorts::paper_default());
+    for i in 0..n {
+        let (mut got, mut want) = ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
+        session(&mut a, i, &mut |d, c| got[d].push(c));
+        per_call(&mut b, i, &mut |d, c| want[d].push(c));
+        assert_eq!(got, want, "{label}: sessions diverged in round {i}");
+    }
+    for (x, y) in [(&a.offchip, &b.offchip), (&a.stacked, &b.stacked)] {
+        assert_eq!(x.stats(), y.stats(), "{label}: stats diverged");
+        assert_eq!(x.energy(), y.energy(), "{label}: energy diverged");
+    }
 }
 
 /// Off-chip physical address of `block` of a `blocks`-block `page`.
@@ -402,10 +446,10 @@ fn fill_loc(page: u64, block: u32) -> RowCol {
     RowCol::new(page % 4096, block * 64)
 }
 
-/// A page fill as the designs issue it: one off-chip read train, then
-/// one stacked write train, each write arriving when its read completes.
-/// `each` sees every completion with its device (0 off-chip, 1 stacked).
-fn fill_train(
+/// A page fill as the designs issue it: one session per device, each
+/// block read off-chip and written to the stacked row when its read
+/// completes.
+fn fill_session(
     mem: &mut MemPorts,
     now: Ps,
     page: u64,
@@ -413,27 +457,16 @@ fn fill_train(
     mut each: impl FnMut(usize, Completion),
 ) {
     let row_col = mem.offchip.row_col();
-    let mut read_done = [0; 64];
-    let mut n = 0;
-    mem.offchip.access_train(
-        Op::Read,
-        64,
-        (0..blocks).map(|b| (now, row_col(fill_addr(page, blocks, b)))),
-        |c| {
-            read_done[n] = c.last_data_ps;
-            n += 1;
-            each(0, c);
-        },
-    );
-    mem.stacked.access_train(
-        Op::Write,
-        64,
-        (0..blocks).map(|b| (read_done[b as usize], fill_loc(page, b))),
-        |c| each(1, c),
-    );
+    let (mut reads, mut writes) = (mem.offchip.session(), mem.stacked.session());
+    for b in 0..blocks {
+        let rd = reads.access(now, Op::Read, row_col(fill_addr(page, blocks, b)), 64);
+        let wr = writes.access(rd.last_data_ps, Op::Write, fill_loc(page, b), 64);
+        each(0, rd);
+        each(1, wr);
+    }
 }
 
-/// The same fill as one `access` call per block and device, interleaved.
+/// The same fill as one `access` call per block and device.
 fn fill_per_call(
     mem: &mut MemPorts,
     now: Ps,
@@ -450,6 +483,47 @@ fn fill_per_call(
             .access(rd.last_data_ps, Op::Write, fill_loc(page, b), 64);
         each(0, rd);
         each(1, wr);
+    }
+}
+
+/// The stacked row, metadata column and data column of a Unison set,
+/// spread over rows so some rounds open a row and most find it open.
+fn unison_hit_at(set: u64) -> (u64, u32, u32) {
+    (
+        set % 64,
+        (set % 4) as u32 * 64,
+        256 + (set % 60) as u32 * 64,
+    )
+}
+
+/// A Unison write hit through one stacked session.
+fn unison_hit_session(mem: &mut MemPorts, set: u64, mut each: impl FnMut(usize, Completion)) {
+    let (row, meta, data) = unison_hit_at(set);
+    let now = set * 20_000;
+    let mut s = mem.stacked.session();
+    let m = s.access(now, Op::Read, RowCol::new(row, meta), 32);
+    let d = s.access(now, Op::Read, RowCol::new(row, data), 64);
+    let w = s.access(d.last_data_ps, Op::Write, RowCol::new(row, data), 64);
+    for c in [m, d, w] {
+        each(1, c);
+    }
+}
+
+/// The same write hit as three `access` calls.
+fn unison_hit_per_call(mem: &mut MemPorts, set: u64, mut each: impl FnMut(usize, Completion)) {
+    let (row, meta, data) = unison_hit_at(set);
+    let now = set * 20_000;
+    let m = mem
+        .stacked
+        .access(now, Op::Read, RowCol::new(row, meta), 32);
+    let d = mem
+        .stacked
+        .access(now, Op::Read, RowCol::new(row, data), 64);
+    let w = mem
+        .stacked
+        .access(d.last_data_ps, Op::Write, RowCol::new(row, data), 64);
+    for c in [m, d, w] {
+        each(1, c);
     }
 }
 

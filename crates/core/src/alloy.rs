@@ -9,12 +9,11 @@
 //! hit) or to launch the off-chip access in parallel (predicted miss).
 
 use serde::{Deserialize, Serialize};
-use unison_dram::{cpu_cycles_to_ps, Op, Ps, RowCol};
+use unison_dram::{cpu_cycles_to_ps, DramModel, Op, Ps, RowCol, Session};
 use unison_predictors::{MissPrediction, MissPredictor};
 
 use crate::divisor::Divisor;
 use crate::layout::{AlloyRowLayout, TAD_BYTES};
-use crate::meta::MetaStore;
 use crate::model::{CacheAccess, DramCacheModel};
 use crate::ports::MemPorts;
 use crate::stats::CacheStats;
@@ -44,13 +43,25 @@ impl AlloyConfig {
     }
 }
 
+/// A TAD's valid bit in its packed word.
+const VALID: u32 = 1;
+/// A TAD's dirty bit in its packed word.
+const DIRTY: u32 = 2;
+/// Where the tag starts in a packed word.
+const TAG_SHIFT: u32 = 2;
+/// Tags must fit the word's 30 bits above the valid and dirty bits.
+const TAG_LIMIT: u64 = 1 << (32 - TAG_SHIFT);
+
 /// The Alloy Cache design. See the [module docs](self).
 ///
-/// TAD metadata (tag, valid bit, dirty bit) lives in a direct-mapped
-/// block-mode [`MetaStore`] — the same SoA engine the page caches use,
-/// with the footprint/recency arrays left empty. The TAD count and the
-/// TADs per row are precomputed [`Divisor`]s, and the controller latency
-/// is converted to picoseconds once, at construction.
+/// Each TAD's metadata is one `u32`, `tag << 2 | dirty << 1 | valid`, so
+/// a probe is one load and one compare, and the direct-mapped store is
+/// 4 B per TAD. Tags are bounded to 30 bits: `tag` is the block number
+/// divided by the TAD count, so the bound is `2^30` blocks per TAD —
+/// far above any address the workloads generate — and a larger tag
+/// panics rather than alias. The TAD count and the TADs per row are
+/// precomputed [`Divisor`]s, and the controller latency is converted to
+/// picoseconds once, at construction.
 #[derive(Debug, Clone)]
 pub struct AlloyCache {
     cfg: AlloyConfig,
@@ -61,7 +72,8 @@ pub struct AlloyCache {
     /// Controller overhead (plus the predictor's cycle when it is on),
     /// in picoseconds.
     ctrl_ps: Ps,
-    meta: MetaStore,
+    /// One packed word per TAD (see the type docs).
+    tads: Vec<u32>,
     mp: MissPredictor,
     stats: CacheStats,
 }
@@ -82,7 +94,7 @@ impl AlloyCache {
             tad_div: Divisor::new(num_tads),
             row_div: Divisor::new(u64::from(layout.tads_per_row)),
             ctrl_ps: cpu_cycles_to_ps(ctrl_cycles),
-            meta: MetaStore::blocks(num_tads),
+            tads: vec![0; num_tads as usize],
             mp: MissPredictor::paper_default(),
             stats: CacheStats::default(),
         }
@@ -105,26 +117,24 @@ impl AlloyCache {
 
     /// Fills `tad` with `tag`, writing back the old occupant if dirty.
     /// The victim's data already streamed out with the probe TAD read, so
-    /// the writeback is a single off-chip write.
+    /// the writeback is a single off-chip write; the TAD write goes to the
+    /// row the probe's session holds.
     fn fill(
         &mut self,
         now: Ps,
         tad: u64,
-        loc: RowCol,
         tag: u32,
         dirty: bool,
-        mem: &mut MemPorts,
+        row: &mut Session<'_>,
+        offchip: &mut DramModel,
     ) -> Ps {
-        let old_valid = self.meta.is_valid(tad, 0);
+        let old = self.tads[tad as usize];
+        let old_valid = old & VALID != 0;
         let mut done = now;
-        if old_valid && self.meta.block_dirty(tad) {
-            let victim_bn = self.meta.tag(tad, 0) * self.tad_div.get() + tad;
-            let wb = mem.offchip.access_addr(
-                now,
-                Op::Write,
-                victim_bn * BLOCK_BYTES,
-                BLOCK_BYTES as u32,
-            );
+        if old_valid && old & DIRTY != 0 {
+            let victim_bn = u64::from(old >> TAG_SHIFT) * self.tad_div.get() + tad;
+            let wb =
+                offchip.access_addr(now, Op::Write, victim_bn * BLOCK_BYTES, BLOCK_BYTES as u32);
             self.stats.offchip_write_bytes += BLOCK_BYTES;
             self.stats.writeback_blocks += 1;
             done = done.max(wb.last_data_ps);
@@ -132,10 +142,10 @@ impl AlloyCache {
         if old_valid {
             self.stats.evictions += 1;
         }
-        let w = mem.stacked.access(now, Op::Write, loc, TAD_BYTES);
+        let w = row.access(now, Op::Write, self.tad_loc(tad), TAD_BYTES);
         self.stats.stacked_write_bytes += u64::from(TAD_BYTES);
         self.stats.fill_blocks += 1;
-        self.meta.install_block(tad, u64::from(tag), dirty);
+        self.tads[tad as usize] = (tag << TAG_SHIFT) | if dirty { DIRTY | VALID } else { VALID };
         done.max(w.last_data_ps)
     }
 }
@@ -153,9 +163,16 @@ impl DramCacheModel for AlloyCache {
         self.stats.accesses += 1;
         let bn = req.block_number();
         let (tag, tad) = self.tad_div.divmod(bn);
+        assert!(
+            tag < TAG_LIMIT,
+            "Alloy tag {tag} of block {bn} does not fit 30 bits"
+        );
         let tag = tag as u32;
         let loc = self.tad_loc(tad);
-        let is_hit = self.meta.probe_set(tad, u64::from(tag)).is_some();
+        let is_hit = self.tads[tad as usize] | DIRTY == (tag << TAG_SHIFT) | DIRTY | VALID;
+        // The probe and the store or fill that follows it go to the
+        // TAD's row in one session.
+        let (mut row, offchip) = (mem.stacked.session(), &mut mem.offchip);
 
         // Miss prediction: one extra cycle of predictor latency, already
         // in `ctrl_ps`. The (core, PC) pair hashes once for the
@@ -171,15 +188,15 @@ impl DramCacheModel for AlloyCache {
             MissPrediction::Hit => {
                 // Probe the cache first; on a miss the off-chip request
                 // is serialized behind the failed lookup (§II-A).
-                let probe = mem.stacked.access(t0, Op::Read, loc, TAD_BYTES);
+                let probe = row.access(t0, Op::Read, loc, TAD_BYTES);
                 self.stats.stacked_read_bytes += u64::from(TAD_BYTES);
                 let tag_known = probe.last_data_ps + cpu_cycles_to_ps(1);
                 if is_hit {
                     let mut done = tag_known;
                     if req.is_write {
-                        let w = mem.stacked.access(tag_known, Op::Write, loc, TAD_BYTES);
+                        let w = row.access(tag_known, Op::Write, loc, TAD_BYTES);
                         self.stats.stacked_write_bytes += u64::from(TAD_BYTES);
-                        self.meta.mark_block_dirty(tad);
+                        self.tads[tad as usize] |= DIRTY;
                         done = done.max(w.last_data_ps);
                     }
                     self.stats.hits += 1;
@@ -189,14 +206,15 @@ impl DramCacheModel for AlloyCache {
                         done_ps: done,
                     }
                 } else {
-                    let oc = mem.offchip.access_addr(
+                    let oc = offchip.access_addr(
                         tag_known,
                         Op::Read,
                         bn * BLOCK_BYTES,
                         BLOCK_BYTES as u32,
                     );
                     self.stats.offchip_read_bytes += BLOCK_BYTES;
-                    let done = self.fill(oc.last_data_ps, tad, loc, tag, req.is_write, mem);
+                    let done =
+                        self.fill(oc.last_data_ps, tad, tag, req.is_write, &mut row, offchip);
                     self.stats.block_misses += 1;
                     CacheAccess {
                         outcome: AccessOutcome::BlockMiss,
@@ -209,11 +227,9 @@ impl DramCacheModel for AlloyCache {
                 // Launch the off-chip access immediately; probe the cache
                 // in parallel to verify (dirty data must come from the
                 // cache).
-                let oc =
-                    mem.offchip
-                        .access_addr(t0, Op::Read, bn * BLOCK_BYTES, BLOCK_BYTES as u32);
+                let oc = offchip.access_addr(t0, Op::Read, bn * BLOCK_BYTES, BLOCK_BYTES as u32);
                 self.stats.offchip_read_bytes += BLOCK_BYTES;
-                let probe = mem.stacked.access(t0, Op::Read, loc, TAD_BYTES);
+                let probe = row.access(t0, Op::Read, loc, TAD_BYTES);
                 self.stats.stacked_read_bytes += u64::from(TAD_BYTES);
                 let tag_known = probe.last_data_ps + cpu_cycles_to_ps(1);
                 if is_hit {
@@ -221,9 +237,9 @@ impl DramCacheModel for AlloyCache {
                     // serve from the cache (covers the dirty case).
                     let mut done = tag_known.max(oc.last_data_ps);
                     if req.is_write {
-                        let w = mem.stacked.access(tag_known, Op::Write, loc, TAD_BYTES);
+                        let w = row.access(tag_known, Op::Write, loc, TAD_BYTES);
                         self.stats.stacked_write_bytes += u64::from(TAD_BYTES);
-                        self.meta.mark_block_dirty(tad);
+                        self.tads[tad as usize] |= DIRTY;
                         done = done.max(w.last_data_ps);
                     }
                     self.stats.hits += 1;
@@ -233,7 +249,8 @@ impl DramCacheModel for AlloyCache {
                         done_ps: done,
                     }
                 } else {
-                    let done = self.fill(oc.last_data_ps, tad, loc, tag, req.is_write, mem);
+                    let done =
+                        self.fill(oc.last_data_ps, tad, tag, req.is_write, &mut row, offchip);
                     self.stats.block_misses += 1;
                     CacheAccess {
                         outcome: AccessOutcome::BlockMiss,
@@ -402,6 +419,62 @@ mod tests {
         let a = ac.access(0, &read(0), &mut mem);
         assert_eq!(a.outcome, AccessOutcome::BlockMiss);
         assert_eq!(ac.stats().mp_correct, 0, "no predictor stats when disabled");
+    }
+
+    /// A dirty victim is written back to its own block: the address is
+    /// rebuilt from the tag in the TAD's packed word. The fill reads the
+    /// new block from an off-chip row in the victim's bank first, so the
+    /// victim's row is open afterwards only if the writeback went there.
+    #[test]
+    fn dirty_victim_is_written_back_to_its_own_address() {
+        let (mut ac, mut mem) = cache();
+        let stride = ac.num_tads() * BLOCK_BYTES;
+        // Tags 5 and 6 of TAD 3: the tag needs more than the word's low
+        // bits, and both blocks share an off-chip bank.
+        let (victim, next) = (5 * stride + 3 * BLOCK_BYTES, 6 * stride + 3 * BLOCK_BYTES);
+        let cfg = mem.offchip.config().clone();
+        let bank = |addr: u64| {
+            let rc = RowCol::from_phys_addr(addr, cfg.row_bytes);
+            unison_dram::Location::route(rc.row, &cfg).flat_bank(&cfg)
+        };
+        assert_eq!(bank(victim), bank(next), "precondition: one bank");
+        let w = Request {
+            is_write: true,
+            ..read(victim)
+        };
+        let a = ac.access(0, &w, &mut mem);
+        assert_eq!(ac.tads[3], (5 << TAG_SHIFT) | DIRTY | VALID);
+        let b = ac.access(a.done_ps, &read(next), &mut mem);
+        assert_eq!(b.outcome, AccessOutcome::BlockMiss);
+        assert_eq!(ac.stats().writeback_blocks, 1);
+        assert_eq!(ac.tads[3], (6 << TAG_SHIFT) | VALID);
+        let after = mem.offchip.access_addr(b.done_ps, Op::Read, victim, 64);
+        assert!(after.row_hit, "the writeback did not open the victim's row");
+    }
+
+    /// The smallest cache (one 8 KB row of 112 TADs) refuses a block
+    /// whose tag needs more than the packed word's 30 bits instead of
+    /// aliasing it onto a smaller tag.
+    #[test]
+    #[should_panic(expected = "does not fit 30 bits")]
+    fn tag_past_30_bits_panics() {
+        let mut ac = AlloyCache::new(AlloyConfig::new(8192));
+        assert_eq!(ac.num_tads(), 112);
+        let mut mem = MemPorts::paper_default();
+        let bn = (1u64 << 30) * 112;
+        ac.access(0, &read(bn * BLOCK_BYTES), &mut mem);
+    }
+
+    /// The largest tag that fits is served like any other.
+    #[test]
+    fn largest_30_bit_tag_is_served() {
+        let mut ac = AlloyCache::new(AlloyConfig::new(8192));
+        let mut mem = MemPorts::paper_default();
+        let addr = ((1u64 << 30) * 112 - 1) * BLOCK_BYTES;
+        let a = ac.access(0, &read(addr), &mut mem);
+        assert_eq!(a.outcome, AccessOutcome::BlockMiss);
+        let a = ac.access(a.done_ps, &read(addr), &mut mem);
+        assert_eq!(a.outcome, AccessOutcome::Hit);
     }
 
     /// TAD index, tag and row placement equal the `/` and `%` formulas

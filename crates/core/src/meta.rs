@@ -30,8 +30,11 @@
 //! Behavioral equivalence with the pre-SoA layout is pinned three ways:
 //! the golden suite (`tests/soa_equivalence.rs` at the workspace root),
 //! the property tests (`crates/core/tests/meta_properties.rs`) that race
-//! a [`MetaStore`] against the naive [`reference::NaiveStore`], and the
-//! `meta` group of the criterion microbench.
+//! a [`MetaStore`] against the naive `reference::NaiveStore`, and the
+//! `meta` group of the criterion microbench. The scalar kernels
+//! (`probe_set_scalar`, `touch_scalar`, `evict_victim_scalar`) and the
+//! `reference` module compile only for tests and under the crate's
+//! `reference` feature, never into release builds.
 
 use unison_predictors::{EvictionInfo, Footprint};
 
@@ -134,34 +137,7 @@ impl MetaStore {
         }
     }
 
-    /// Builds a block-cache store (Alloy): `slots` direct-mapped entries
-    /// carrying only a tag, a valid bit, and a one-bit dirty flag (kept
-    /// in the `dirty` mask array as bit 0). The footprint, recency, and
-    /// trigger arrays stay empty — block caches have no such state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero.
-    pub fn blocks(slots: u64) -> Self {
-        assert!(slots > 0, "need at least one slot");
-        let n = slots as usize;
-        MetaStore {
-            sets: slots,
-            ways: 1,
-            policy: Replacement::TimestampLru,
-            tags: vec![0; n],
-            valid: vec![0; n.div_ceil(64)],
-            stamp: Vec::new(),
-            present: Vec::new(),
-            demanded: Vec::new(),
-            dirty: vec![0; n],
-            predicted: Vec::new(),
-            pc: Vec::new(),
-            offset: Vec::new(),
-        }
-    }
-
-    /// Number of sets (or slots, for a block store).
+    /// Number of sets.
     pub fn sets(&self) -> u64 {
         self.sets
     }
@@ -248,7 +224,7 @@ impl MetaStore {
     /// with the valid bits, and takes `trailing_zeros` — so "first
     /// matching valid way" falls out of bit order rather than an
     /// early-exit branch per way. Bit-identical to
-    /// [`MetaStore::probe_set_scalar`] (property-raced).
+    /// `MetaStore::probe_set_scalar` (property-raced).
     #[inline]
     pub fn probe_set(&self, set: u64, tag: u64) -> Option<u32> {
         let base = self.base(set);
@@ -266,6 +242,7 @@ impl MetaStore {
     /// the executable reference the property tests race against
     /// [`MetaStore::probe_set`] and the nightly release-mode assertion
     /// measures the vectorized path's speedup over.
+    #[cfg(any(test, feature = "reference"))]
     #[inline]
     pub fn probe_set_scalar(&self, set: u64, tag: u64) -> Option<u32> {
         let base = self.base(set);
@@ -289,7 +266,7 @@ impl MetaStore {
     /// touched way — the same result as the old per-way
     /// `if w == way { 0 } else { .. }` branch, since the touched way's
     /// incremented value is overwritten unconditionally. Bit-identical to
-    /// [`MetaStore::touch_scalar`] (property-raced).
+    /// `MetaStore::touch_scalar` (property-raced).
     #[inline]
     pub fn touch(&mut self, set: u64, way: u32, clock: u32) {
         debug_assert!(way < self.ways);
@@ -311,6 +288,7 @@ impl MetaStore {
     /// The pre-vectorization recency update: the branchy per-way walk.
     /// Kept as the executable reference the property tests race against
     /// [`MetaStore::touch`].
+    #[cfg(any(test, feature = "reference"))]
     #[inline]
     pub fn touch_scalar(&mut self, set: u64, way: u32, clock: u32) {
         debug_assert!(way < self.ways);
@@ -343,7 +321,7 @@ impl MetaStore {
     /// *highest* way and a `min` reduce toward the *lowest*, which are
     /// exactly AgingLru's `max_by_key` and TimestampLru's `min_by_key`
     /// tie rules — so the whole scan is one branchless reduce LLVM
-    /// vectorizes. Bit-identical to [`MetaStore::evict_victim_scalar`]
+    /// vectorizes. Bit-identical to `MetaStore::evict_victim_scalar`
     /// (property-raced).
     #[inline]
     pub fn evict_victim(&self, set: u64) -> u32 {
@@ -377,6 +355,7 @@ impl MetaStore {
     /// The pre-vectorization victim scan: the branchy best-so-far walk.
     /// Kept as the executable reference the property tests race against
     /// [`MetaStore::evict_victim`].
+    #[cfg(any(test, feature = "reference"))]
     #[inline]
     pub fn evict_victim_scalar(&self, set: u64) -> u32 {
         let vbits = self.valid_mask(set);
@@ -515,31 +494,9 @@ impl MetaStore {
         let base = self.base(set);
         &self.stamp[base..base + self.ways as usize]
     }
-
-    // ---- block-store (direct-mapped, one-bit dirty) accessors ----
-
-    /// Installs a block into `slot` of a [`MetaStore::blocks`] store.
-    pub fn install_block(&mut self, slot: u64, tag: u64, dirty: bool) {
-        let i = self.idx(slot, 0);
-        self.tags[i] = tag;
-        self.dirty[i] = u32::from(dirty);
-        self.set_valid_bit(i, true);
-    }
-
-    /// Marks `slot`'s block dirty.
-    #[inline]
-    pub fn mark_block_dirty(&mut self, slot: u64) {
-        let i = self.idx(slot, 0);
-        self.dirty[i] = 1;
-    }
-
-    /// True if `slot` holds a dirty block.
-    #[inline]
-    pub fn block_dirty(&self, slot: u64) -> bool {
-        self.dirty[self.idx(slot, 0)] != 0
-    }
 }
 
+#[cfg(any(test, feature = "reference"))]
 pub mod reference {
     //! The pre-SoA layout, kept as an executable specification: a naive
     //! nested `Vec<Vec<Entry>>` arrays-of-structs store with the same
@@ -866,28 +823,12 @@ mod tests {
     }
 
     #[test]
-    fn block_store_roundtrip() {
-        let mut m = MetaStore::blocks(128);
-        assert_eq!(m.probe_set(77, 3), None);
-        m.install_block(77, 3, false);
-        assert_eq!(m.probe_set(77, 3), Some(0));
-        assert!(!m.block_dirty(77));
-        m.mark_block_dirty(77);
-        assert!(m.block_dirty(77));
-        m.install_block(77, 4, true);
-        assert_eq!(m.probe_set(77, 3), None, "displaced");
-        assert!(m.block_dirty(77));
-    }
-
-    #[test]
     fn storage_is_struct_of_arrays_sized() {
         let m = MetaStore::paged(256, 4, Replacement::AgingLru);
         // 1024 entries: 8B tag + 8B pc + 4B x4 masks + 4B stamp + 1B
         // offset + 1 valid bit each.
         let expected = 1024 * (8 + 8 + 4 * 5 + 1) + 1024 / 8;
         assert_eq!(m.storage_bytes(), expected);
-        let b = MetaStore::blocks(1024);
-        assert_eq!(b.storage_bytes(), 1024 * (8 + 4) + 1024 / 8);
     }
 
     #[test]

@@ -4,10 +4,6 @@ use unison_dram::{DramConfig, DramModel, Op, Ps, RowCol};
 
 use crate::types::BLOCK_BYTES;
 
-/// The most blocks one page transfer can move: a footprint is at most 64
-/// blocks wide.
-const MAX_PAGE_BLOCKS: usize = 64;
-
 /// The two DRAM devices every cache design operates against.
 ///
 /// Sharing one `MemPorts` across a simulation makes bandwidth contention,
@@ -58,16 +54,13 @@ impl MemPorts {
     /// Returns the first block's first-data time (the critical word when
     /// the trigger block comes first) and the time the last write
     /// completes.
-    pub(crate) fn fill<I>(
+    pub(crate) fn fill(
         &mut self,
         now: Ps,
-        blocks: I,
+        blocks: impl Iterator<Item = u32>,
         from: impl Fn(u32) -> u64,
         to: impl Fn(u32) -> RowCol,
-    ) -> (Ps, Ps)
-    where
-        I: Iterator<Item = u32> + Clone,
-    {
+    ) -> (Ps, Ps) {
         let row_col = self.offchip.row_col();
         transfer(
             &mut self.offchip,
@@ -83,16 +76,13 @@ impl MemPorts {
     /// location `from(block)`, all arriving at `now`, and written off-chip
     /// to physical address `to(block)` once its read completes. Returns
     /// the time the last write completes (`now` when there is none).
-    pub(crate) fn write_back<I>(
+    pub(crate) fn write_back(
         &mut self,
         now: Ps,
-        blocks: I,
+        blocks: impl Iterator<Item = u32>,
         from: impl Fn(u32) -> RowCol,
         to: impl Fn(u32) -> u64,
-    ) -> Ps
-    where
-        I: Iterator<Item = u32> + Clone,
-    {
+    ) -> Ps {
         let row_col = self.offchip.row_col();
         transfer(
             &mut self.stacked,
@@ -106,46 +96,30 @@ impl MemPorts {
     }
 }
 
-/// Moves `blocks` from `src` to `dst` as two trains: one read train on
-/// `src`, every read arriving at `now`, then one write train on `dst`,
-/// each write arriving when its block's read completes. Each device's
-/// state depends only on the order of its own calls, so this times the
-/// transfer exactly as a per-block read-then-write loop would. Returns
-/// the first read's first-data time and the last write's completion,
-/// both `now` when `blocks` is empty.
-fn transfer<I>(
+/// Moves `blocks` from `src` to `dst` through one session per device:
+/// each block is read from `src`, every read arriving at `now`, and
+/// written to `dst` when its read completes. A page's blocks share one
+/// row on each device, so every request after a session's first is a
+/// row hit on horizons held in locals. Returns the first read's
+/// first-data time and the last write's completion, both `now` when
+/// `blocks` is empty.
+fn transfer(
     src: &mut DramModel,
     dst: &mut DramModel,
     now: Ps,
-    blocks: I,
+    blocks: impl Iterator<Item = u32>,
     src_at: impl Fn(u32) -> RowCol,
     dst_at: impl Fn(u32) -> RowCol,
-) -> (Ps, Ps)
-where
-    I: Iterator<Item = u32> + Clone,
-{
-    let mut read_done = [0; MAX_PAGE_BLOCKS];
-    let (mut n, mut first) = (0, now);
-    src.access_train(
-        Op::Read,
-        BLOCK_BYTES as u32,
-        blocks.clone().map(|b| (now, src_at(b))),
-        |c| {
-            if n == 0 {
-                first = c.first_data_ps;
-            }
-            read_done[n] = c.last_data_ps;
-            n += 1;
-        },
-    );
-    let mut done = now;
-    dst.access_train(
-        Op::Write,
-        BLOCK_BYTES as u32,
-        read_done.iter().zip(blocks).map(|(&t, b)| (t, dst_at(b))),
-        |c| done = done.max(c.last_data_ps),
-    );
-    (first, done)
+) -> (Ps, Ps) {
+    let (mut reads, mut writes) = (src.session(), dst.session());
+    let (mut first, mut done) = (None, now);
+    for b in blocks {
+        let r = reads.access(now, Op::Read, src_at(b), BLOCK_BYTES as u32);
+        first.get_or_insert(r.first_data_ps);
+        let w = writes.access(r.last_data_ps, Op::Write, dst_at(b), BLOCK_BYTES as u32);
+        done = done.max(w.last_data_ps);
+    }
+    (first.unwrap_or(now), done)
 }
 
 #[cfg(test)]

@@ -417,9 +417,14 @@ impl DramCacheModel for UnisonCache {
         let wp_slot = matches!(self.cfg.way_policy, WayPolicy::Predict).then(|| self.wp.slot(page));
         let predicted_way = wp_slot.map_or(0, |slot| self.wp.predict(slot));
 
+        // Every stacked access below goes to the set's row, so one
+        // session enters the row once; it ends before an eviction or a
+        // fill, which reach the row through `MemPorts`.
+        let mut row = mem.stacked.session();
+
         // Metadata read: the tags + bit vectors of all ways (32 B for
         // 4 ways), always issued.
-        let meta = mem.stacked.access(
+        let meta = row.access(
             t0,
             Op::Read,
             self.meta_loc(at),
@@ -432,7 +437,7 @@ impl DramCacheModel for UnisonCache {
         let mut speculative_read_done = 0;
         match self.cfg.way_policy {
             WayPolicy::Predict => {
-                let d = mem.stacked.access(
+                let d = row.access(
                     t0,
                     Op::Read,
                     self.data_loc(at, predicted_way, offset),
@@ -443,12 +448,15 @@ impl DramCacheModel for UnisonCache {
             }
             WayPolicy::ParallelFetch => {
                 let ways = self.cfg.assoc.min(self.layout.pages_per_row);
-                mem.stacked.access_train(
-                    Op::Read,
-                    BLOCK_BYTES as u32,
-                    (0..ways).map(|w| (t0, self.data_loc(at, w, offset))),
-                    |d| speculative_read_done = speculative_read_done.max(d.last_data_ps),
-                );
+                for w in 0..ways {
+                    let d = row.access(
+                        t0,
+                        Op::Read,
+                        self.data_loc(at, w, offset),
+                        BLOCK_BYTES as u32,
+                    );
+                    speculative_read_done = speculative_read_done.max(d.last_data_ps);
+                }
                 self.stats.stacked_read_bytes += u64::from(ways) * BLOCK_BYTES;
             }
             WayPolicy::SerialTagData => {} // data read issued after tags
@@ -479,7 +487,7 @@ impl DramCacheModel for UnisonCache {
                             } else {
                                 // Mispredict: re-read the correct way; the
                                 // row is open, so this is a cheap row hit.
-                                let d = mem.stacked.access(
+                                let d = row.access(
                                     tag_known,
                                     Op::Read,
                                     self.data_loc(at, way, offset),
@@ -491,7 +499,7 @@ impl DramCacheModel for UnisonCache {
                         }
                         WayPolicy::ParallelFetch => speculative_read_done.max(tag_known),
                         WayPolicy::SerialTagData => {
-                            let d = mem.stacked.access(
+                            let d = row.access(
                                 tag_known,
                                 Op::Read,
                                 self.data_loc(at, way, offset),
@@ -513,7 +521,7 @@ impl DramCacheModel for UnisonCache {
                     let mut done = data_ready;
                     if req.is_write {
                         // Store data into the row (background).
-                        let w = mem.stacked.access(
+                        let w = row.access(
                             data_ready,
                             Op::Write,
                             self.data_loc(at, way, offset),
@@ -546,7 +554,7 @@ impl DramCacheModel for UnisonCache {
                         BLOCK_BYTES as u32,
                     );
                     self.stats.offchip_read_bytes += BLOCK_BYTES;
-                    let fill = mem.stacked.access(
+                    let fill = row.access(
                         oc.last_data_ps,
                         Op::Write,
                         self.data_loc(at, way, offset),
@@ -612,6 +620,7 @@ impl DramCacheModel for UnisonCache {
                     }
                 } else {
                     // Allocate: evict the LRU way, fetch the footprint.
+                    drop(row);
                     let way = self.meta.evict_victim(set);
                     let mut evict_done = tag_known;
                     if self.meta.is_valid(set, way) {

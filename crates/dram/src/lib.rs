@@ -49,5 +49,5 @@ pub use address::{FlatRoute, Location, RouteMap, RowCol};
 pub use bank::BankState;
 pub use config::{DramConfig, DramPreset, EnergyParams, Timings};
 pub use energy::{EnergyBreakdown, EnergyCounters};
-pub use model::{Completion, DramModel, DramStats, Op};
+pub use model::{Completion, DramModel, DramStats, Op, Session};
 pub use time::{cpu_cycles_to_ps, ps_to_cpu_cycles, Ps, CPU_CLOCK_MHZ};

@@ -147,8 +147,7 @@ impl TimingTable {
     /// access. `activated` is `None` for a row hit, which waits only for
     /// `earliest_cas`; an access that just activated its row passes the
     /// CAS time `DramModel::activate` returned and whether it closed
-    /// another row. [`DramModel::access`] and the row-hit runs of
-    /// [`DramModel::access_train`] share it.
+    /// another row. Every [`Session`] access runs it.
     #[inline(always)]
     fn step(
         &self,
@@ -204,8 +203,8 @@ impl TimingTable {
 
 /// The timing state an access to an open row reads and advances: its
 /// bank's CAS and PRE horizons (and ACT time), its rank's write-to-read
-/// turnaround and its channel's bus. An access loads it, and a train
-/// keeps it in locals for as long as it stays in one row.
+/// turnaround and its channel's bus. A [`Session`] loads it on entering
+/// a row and keeps it in locals for as long as it stays in that row.
 #[derive(Debug, Clone, Copy)]
 struct RowHorizons {
     earliest_cas: Ps,
@@ -233,10 +232,10 @@ struct RowHorizons {
 /// multiply path as the executable reference the property suite races
 /// bit-for-bit.
 ///
-/// A run of same-sized accesses, such as a footprint fill or a dirty-page
-/// writeback, goes through [`Self::access_train`] as one call: it shares
-/// the row-hit step with [`Self::access`] and keeps a row's horizons in
-/// locals while the run stays in that row.
+/// A run of accesses, such as a footprint fill or a tag read followed by
+/// a data read to the same row, goes through one [`Session`], which keeps
+/// a row's horizons in locals while the run stays in that row.
+/// [`Self::access`] is a session of one request.
 ///
 /// Each counter is kept once: the energy model's command and activation
 /// counts are the [`DramStats`] counts, so [`Self::energy`] derives them
@@ -353,7 +352,11 @@ impl DramModel {
     /// from a per-beat-count lookup table. The common case — a row hit —
     /// runs straight through the row-hit step without touching the
     /// ACT/PRE/`tFAW` machinery in [`Self::activate`], which stays out of
-    /// line. `access` itself is `#[inline(always)]`, so the designs in
+    /// line. `access` is a one-request [`Session`] written out: the
+    /// session's general path, write-back and statistics, without the
+    /// held-row bookkeeping, so a one-call site (an off-chip access,
+    /// NoCache, Ideal) does not rely on the optimizer to fold that
+    /// bookkeeping away. Both are `#[inline(always)]`, so the designs in
     /// other crates inline the row-hit path instead of calling it: with
     /// no LTO in the release profile, a plain `#[inline]` left a call at
     /// every design's call site.
@@ -385,76 +388,15 @@ impl DramModel {
         c
     }
 
-    /// Performs a *train* of same-sized column accesses: one `op` of
-    /// `bytes` per `(arrival, location)` in `reqs`, in order, handing
-    /// each [`Completion`] to `each`. The device ends in the state, and
-    /// `each` sees the completions, that calling [`Self::access`] once
-    /// per request would give.
-    ///
-    /// A footprint fill or writeback is such a train: its blocks share
-    /// one DRAM row, so every request after the first is a row hit. While
-    /// consecutive requests stay in one row, the train keeps that row's
-    /// bank, rank and bus horizons in locals and runs only the row-hit
-    /// step; a row change writes them back and takes the general path.
-    /// The statistics are added once per train.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// # use unison_dram::{DramConfig, DramModel, Op, RowCol};
-    /// let mut dram = DramModel::new(DramConfig::stacked());
-    /// // Four 64 B blocks written into row 3, all arriving at time 0.
-    /// let mut done = 0;
-    /// let blocks = (0..4).map(|b| (0, RowCol::new(3, b * 64)));
-    /// dram.access_train(Op::Write, 64, blocks, |c| done = c.last_data_ps);
-    /// assert_eq!(dram.stats().writes, 4);
-    /// assert_eq!(dram.stats().row_hits, 3);
-    /// assert!(done > 0);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that every access fits within one row.
-    #[inline]
-    pub fn access_train<I, F>(&mut self, op: Op, bytes: u32, reqs: I, mut each: F)
-    where
-        I: IntoIterator<Item = (Ps, RowCol)>,
-        F: FnMut(Completion),
-    {
-        let is_read = op == Op::Read;
-        let burst = self.timing.burst(bytes, &self.cfg);
-        let row_bytes = self.cfg.row_bytes;
-        let (mut n, mut hits, mut conflicts) = (0u64, 0u64, 0u64);
-        let mut reqs = reqs.into_iter();
-        let mut next = reqs.next();
-        while let Some((now, rc)) = next {
-            debug_assert!(
-                rc.col_byte + bytes <= row_bytes,
-                "access must not cross a row boundary"
-            );
-            let (route, mut h, c) = self.open(now, rc.row, is_read, burst);
-            n += 1;
-            hits += u64::from(c.row_hit);
-            conflicts += u64::from(c.conflict);
-            each(c);
-            // The rest of the run to this row: row hits by construction.
-            next = loop {
-                match reqs.next() {
-                    Some((now, same)) if same.row == rc.row => {
-                        debug_assert!(
-                            same.col_byte + bytes <= row_bytes,
-                            "access must not cross a row boundary"
-                        );
-                        n += 1;
-                        hits += 1;
-                        each(self.timing.step(&mut h, now, None, is_read, burst));
-                    }
-                    other => break other,
-                }
-            };
-            self.close(route, h);
+    /// Opens a [`Session`]: a run of accesses that enters each DRAM row
+    /// once. See [`Session`] for what it keeps and when it writes back.
+    #[inline(always)]
+    pub fn session(&mut self) -> Session<'_> {
+        Session {
+            dev: self,
+            held: None,
+            tally: Tally::default(),
         }
-        self.count(is_read, bytes, burst, n, hits, conflicts);
     }
 
     /// The general path of one access: routes `row`, activates it unless
@@ -702,8 +644,8 @@ impl DramModel {
     }
 
     /// The physical-address split [`Self::access_addr`] applies (linear
-    /// row mapping), detached from the device: a caller maps a train's
-    /// addresses with it while the device itself runs the train.
+    /// row mapping), detached from the device: a caller maps addresses
+    /// with it while a [`Session`] holds the device.
     #[inline]
     pub fn row_col(&self) -> impl Fn(u64) -> RowCol + Copy {
         let (route, row_bytes) = (self.route, self.cfg.row_bytes);
@@ -718,6 +660,135 @@ impl DramModel {
     pub fn access_addr(&mut self, now: Ps, op: Op, addr: u64, bytes: u32) -> Completion {
         let rc = self.row_col()(addr);
         self.access(now, op, rc, bytes)
+    }
+}
+
+/// A run of accesses to one device that enters each DRAM row once.
+///
+/// [`DramModel::session`] opens one; every [`Session::access`] returns
+/// exactly the [`Completion`] that [`DramModel::access`] would at that
+/// point, and the device ends in the same state. The first request to a
+/// row takes the general path (route, activate unless open, load the
+/// row's bank, rank and bus horizons). Later requests to the same row
+/// run only the row-hit step on those horizons, held in locals. A
+/// request to another row writes them back and takes the general path.
+/// The statistics are added to the device once, when the session ends
+/// (on drop).
+///
+/// The session borrows its device mutably, so no other request reaches
+/// the device while it is open: that is what keeps the held horizons
+/// current, and the compiler enforces it. A cache design opens one
+/// session for the requests one of its accesses makes to a row — for
+/// instance Unison's metadata read, its predicted-way read and a
+/// write-hit store to the set's row.
+///
+/// # Example
+///
+/// ```
+/// # use unison_dram::{DramConfig, DramModel, Op, RowCol};
+/// let mut dram = DramModel::new(DramConfig::stacked());
+/// let mut row = dram.session();
+/// // A 32 B metadata read and a 64 B data read to row 3, then a store.
+/// let meta = row.access(0, Op::Read, RowCol::new(3, 0), 32);
+/// let data = row.access(0, Op::Read, RowCol::new(3, 64), 64);
+/// let store = row.access(data.last_data_ps, Op::Write, RowCol::new(3, 64), 64);
+/// assert!(meta.activated && data.row_hit && store.row_hit);
+/// drop(row);
+/// assert_eq!(dram.stats().reads, 2);
+/// assert_eq!(dram.stats().row_hits, 2);
+/// ```
+#[derive(Debug)]
+pub struct Session<'a> {
+    dev: &'a mut DramModel,
+    /// The row whose horizons are held in locals, if any.
+    held: Option<HeldRow>,
+    tally: Tally,
+}
+
+/// A row a [`Session`] holds: its number, route and horizons.
+#[derive(Debug, Clone, Copy)]
+struct HeldRow {
+    row: u64,
+    route: FlatRoute,
+    h: RowHorizons,
+}
+
+/// The statistics a [`Session`] adds to its device when it ends.
+#[derive(Debug, Default)]
+struct Tally {
+    stats: DramStats,
+    bytes_read: u64,
+    bytes_written: u64,
+}
+
+impl Session<'_> {
+    /// Performs one column access of `bytes` at `rc`, arriving at `now`,
+    /// with the timing [`DramModel::access`] would give it.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that the access fits within one row.
+    #[inline(always)]
+    pub fn access(&mut self, now: Ps, op: Op, rc: RowCol, bytes: u32) -> Completion {
+        debug_assert!(
+            rc.col_byte + bytes <= self.dev.cfg.row_bytes,
+            "access must not cross a row boundary"
+        );
+        let is_read = op == Op::Read;
+        let burst = self.dev.timing.burst(bytes, &self.dev.cfg);
+        let c = match &mut self.held {
+            // The row is still open and its horizons are in hand.
+            Some(held) if held.row == rc.row => {
+                self.dev.timing.step(&mut held.h, now, None, is_read, burst)
+            }
+            _ => {
+                self.release();
+                let (route, h, c) = self.dev.open(now, rc.row, is_read, burst);
+                self.held = Some(HeldRow {
+                    row: rc.row,
+                    route,
+                    h,
+                });
+                c
+            }
+        };
+        let t = &mut self.tally;
+        if is_read {
+            t.stats.reads += 1;
+            t.bytes_read += u64::from(bytes);
+        } else {
+            t.stats.writes += 1;
+            t.bytes_written += u64::from(bytes);
+        }
+        t.stats.row_hits += u64::from(c.row_hit);
+        t.stats.row_conflicts += u64::from(c.conflict);
+        t.stats.bus_busy_ps += burst;
+        c
+    }
+
+    /// Writes the held row's horizons back to the device.
+    #[inline(always)]
+    fn release(&mut self) {
+        if let Some(held) = self.held.take() {
+            self.dev.close(held.route, held.h);
+        }
+    }
+}
+
+impl Drop for Session<'_> {
+    #[inline(always)]
+    fn drop(&mut self) {
+        self.release();
+        let (t, d) = (&self.tally, &mut *self.dev);
+        let s = &mut d.stats;
+        s.reads += t.stats.reads;
+        s.writes += t.stats.writes;
+        s.row_hits += t.stats.row_hits;
+        s.row_conflicts += t.stats.row_conflicts;
+        s.row_empty += t.stats.reads + t.stats.writes - t.stats.row_hits - t.stats.row_conflicts;
+        s.bus_busy_ps += t.stats.bus_busy_ps;
+        d.bytes_read += t.bytes_read;
+        d.bytes_written += t.bytes_written;
     }
 }
 

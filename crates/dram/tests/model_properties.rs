@@ -16,9 +16,11 @@
 //! deliberately non-pow2 geometry that forces the div/mod routing
 //! fallback and the `burst_ps` recompute fallback inside the fast path.
 //!
-//! A second race pins [`DramModel::access_train`] to one
-//! [`DramModel::access`] call per request, over trains that repeat a row,
-//! change rows, conflict within a bank and arrive out of order.
+//! A second race pins a [`DramModel::session`] to one
+//! [`DramModel::access`] call per request, over sessions that mix reads
+//! and writes of every size the designs issue, repeat a row, change
+//! rows, conflict within a bank in mid-session, arrive out of order and
+//! take arrival times from earlier completions.
 //!
 //! `access_reference` is not part of the release API: it compiles under
 //! the crate's `reference` feature, which the crate's dev-dependency on
@@ -157,116 +159,193 @@ proptest! {
     }
 }
 
-/// One train request: a row selector, a column seed, and the signed
-/// offset of its arrival from the train's base time.
-type TrainReq = (u8, u32, i32);
+/// One session request: a row selector, a column seed, an op-and-size
+/// selector, the signed offset of its arrival from the session's base
+/// time, and a selector that may take the arrival from an earlier
+/// completion instead.
+type SessionReq = (u8, u32, u8, i32, u8);
 
-/// A train: operation selector, burst-size selector, base arrival time
-/// and its requests.
-type Train = (bool, u8, u32, Vec<TrainReq>);
+/// A session: a base arrival time and its requests.
+type SessionSpec = (u32, Vec<SessionReq>);
 
-/// Decodes a train against a geometry. Rows come from a short list that
-/// the requests mostly repeat: `base`, its neighbour on another bank, and
-/// `base` plus the bank count, which shares `base`'s bank (a conflict).
-/// Arrival times move back and forth around the base.
-fn decode_train(train: &Train, cfg: &DramConfig) -> (Op, u32, Vec<(u64, RowCol)>) {
-    let (is_write, bytes_sel, base, reqs) = train;
-    let op = if *is_write { Op::Write } else { Op::Read };
-    let bytes = burst_bytes(*bytes_sel, cfg.row_bytes);
+/// Drives one session spec through `access`, decoding each request
+/// against `cfg` as it goes, and returns every completion in order.
+///
+/// Rows come from a short list that the requests mostly repeat: `base`,
+/// its neighbour on another bank, and `base` plus one and two bank
+/// counts, which share `base`'s bank (conflicts). A request is a 32 B
+/// metadata read, a 64 B block, a 72 B Alloy TAD or a whole-footprint
+/// run of up to 32 consecutive 64 B blocks, read or written. It arrives
+/// either around the base time (so out of order) or when an earlier
+/// access of the session completed, as a write-hit store arrives at its
+/// read's `last_data_ps`.
+fn drive(
+    spec: &SessionSpec,
+    cfg: &DramConfig,
+    mut access: impl FnMut(u64, Op, RowCol, u32) -> Completion,
+) -> Vec<Completion> {
+    let (base, reqs) = spec;
     let banks = u64::from(cfg.total_banks());
     let rows = [5, 5, 5, 6, 5 + banks, 5 + 2 * banks];
     let base = u64::from(*base % 1_000_000) + 100_000;
-    let reqs = reqs
-        .iter()
-        .map(|&(row_sel, col_raw, offset)| {
-            let row = rows[usize::from(row_sel) % rows.len()];
+    let row_blocks = cfg.row_bytes / 64;
+    let mut done: Vec<Completion> = Vec::new();
+    for &(row_sel, col_raw, kind, offset, dep) in reqs {
+        let row = rows[usize::from(row_sel) % rows.len()];
+        let op = if kind & 1 == 1 { Op::Write } else { Op::Read };
+        let at = match done.len() {
+            n if n > 0 && dep % 4 == 0 => done[usize::from(dep / 4) % n].last_data_ps,
+            _ => base.saturating_add_signed(i64::from(offset % 100_000)),
+        };
+        let (bytes, run) = match (kind >> 1) % 4 {
+            0 => (32, 1),
+            1 => (64, 1),
+            2 => (72, 1),
+            _ => (64, (u32::from(kind >> 3) % 32 + 1).min(row_blocks)),
+        };
+        if run == 1 {
             let col_byte = col_raw % (cfg.row_bytes - bytes + 1);
-            let at = base.saturating_add_signed(i64::from(offset % 100_000));
-            (at, RowCol::new(row, col_byte))
-        })
-        .collect();
-    (op, bytes, reqs)
-}
-
-/// Runs `trains` through one model as trains and through another as one
-/// [`DramModel::access`] call per request, asserting every completion,
-/// the statistics, the energy and the bus horizons match after each
-/// train, and that one more access on each device still agrees.
-fn race_trains(cfg: DramConfig, trains: Vec<Train>) {
-    let name = cfg.name;
-    let mut train = DramModel::new(cfg.clone());
-    let mut per_call = DramModel::new(cfg.clone());
-    for (t, spec) in trains.iter().enumerate() {
-        let (op, bytes, reqs) = decode_train(spec, &cfg);
-        let mut got = Vec::new();
-        train.access_train(op, bytes, reqs.iter().copied(), |c| got.push(c));
-        let want: Vec<Completion> = reqs
-            .iter()
-            .map(|&(at, rc)| per_call.access(at, op, rc, bytes))
-            .collect();
-        assert_eq!(got, want, "{name}: train {t} ({op:?} x{bytes}) diverged");
-        assert_eq!(
-            train.stats(),
-            per_call.stats(),
-            "{name}: stats diverged after train {t}"
-        );
-        assert_eq!(
-            train.energy(),
-            per_call.energy(),
-            "{name}: energy diverged after train {t}"
-        );
-        for row in 0..96 {
-            assert_eq!(
-                train.channel_free_at(row),
-                per_call.channel_free_at(row),
-                "{name}: bus horizon diverged on row {row} after train {t}"
-            );
+            done.push(access(at, op, RowCol::new(row, col_byte), bytes));
+        } else {
+            let first = col_raw % (row_blocks - run + 1);
+            for b in first..first + run {
+                done.push(access(at, op, RowCol::new(row, b * 64), 64));
+            }
         }
     }
-    // The bank and rank horizons a train left behind show in the next
-    // access: a read and a write to every row the trains used.
+    done
+}
+
+/// Runs `specs` through one model as sessions, through another as one
+/// [`DramModel::access`] call per request and through a third as one
+/// `access_reference` call per request. Asserts every completion, the
+/// statistics, the energy and the bus horizons match after each session,
+/// and that one more read and write to every row used still agree.
+fn race_sessions(cfg: DramConfig, specs: Vec<SessionSpec>) {
+    let name = cfg.name;
+    let mut sessions = DramModel::new(cfg.clone());
+    let mut per_call = DramModel::new(cfg.clone());
+    let mut reference = DramModel::new(cfg.clone());
+    for (t, spec) in specs.iter().enumerate() {
+        let mut session = sessions.session();
+        let got = drive(spec, &cfg, |at, op, rc, bytes| {
+            session.access(at, op, rc, bytes)
+        });
+        drop(session);
+        let want = drive(spec, &cfg, |at, op, rc, bytes| {
+            per_call.access(at, op, rc, bytes)
+        });
+        let oracle = drive(spec, &cfg, |at, op, rc, bytes| {
+            reference.access_reference(at, op, rc, bytes)
+        });
+        assert_eq!(want, oracle, "{name}: per-call access left the reference");
+        assert_eq!(got, want, "{name}: session {t} diverged");
+        for other in [&per_call, &reference] {
+            assert_eq!(
+                sessions.stats(),
+                other.stats(),
+                "{name}: stats diverged after session {t}"
+            );
+            assert_eq!(
+                sessions.energy(),
+                other.energy(),
+                "{name}: energy diverged after session {t}"
+            );
+            for row in 0..96 {
+                assert_eq!(
+                    sessions.channel_free_at(row),
+                    other.channel_free_at(row),
+                    "{name}: bus horizon diverged on row {row} after session {t}"
+                );
+            }
+        }
+    }
+    // The bank and rank horizons a session left behind show in the next
+    // access: a read and a write to every row the sessions used.
     let banks = u64::from(cfg.total_banks());
     for (i, row) in [5, 6, 5 + banks, 5 + 2 * banks].into_iter().enumerate() {
         for op in [Op::Read, Op::Write] {
-            let at = 200_000 + 1_000 * i as u64;
+            let at = 1_200_000 + 1_000 * i as u64;
             let rc = RowCol::new(row, 0);
+            let want = per_call.access(at, op, rc, 64);
             assert_eq!(
-                train.access(at, op, rc, 64),
-                per_call.access(at, op, rc, 64),
+                want,
+                reference.access_reference(at, op, rc, 64),
+                "{name}: follow-up {op:?} to row {row} left the reference"
+            );
+            assert_eq!(
+                sessions.access(at, op, rc, 64),
+                want,
                 "{name}: follow-up {op:?} to row {row} diverged"
             );
         }
     }
 }
 
-fn trains_strategy() -> impl Strategy<Value = Vec<Train>> {
+fn sessions_strategy() -> impl Strategy<Value = Vec<SessionSpec>> {
     proptest::collection::vec(
         (
-            any::<bool>(),
-            any::<u8>(),
             any::<u32>(),
-            proptest::collection::vec((any::<u8>(), any::<u32>(), any::<i32>()), 0..40),
+            proptest::collection::vec(
+                (
+                    any::<u8>(),
+                    any::<u32>(),
+                    any::<u8>(),
+                    any::<i32>(),
+                    any::<u8>(),
+                ),
+                0..40,
+            ),
         ),
         1..6,
     )
 }
 
 proptest! {
-    /// A train of requests leaves every preset device exactly where one
-    /// `access` call per request leaves it, with the same completions.
+    /// A session leaves every preset device exactly where one `access`
+    /// call per request leaves it, with the same completions.
     #[test]
-    fn train_matches_per_call_access_on_presets(
+    fn session_matches_per_call_access_on_presets(
         preset_idx in 0usize..DramPreset::ALL.len(),
-        trains in trains_strategy(),
+        specs in sessions_strategy(),
     ) {
-        race_trains(DramPreset::ALL[preset_idx].config(), trains);
+        race_sessions(DramPreset::ALL[preset_idx].config(), specs);
     }
 
     /// The same race on the non-pow2 geometry, whose routing and burst
     /// lengths take the fallback arithmetic.
     #[test]
-    fn train_matches_per_call_access_on_non_pow2_fallback(trains in trains_strategy()) {
-        race_trains(non_pow2_config(), trains);
+    fn session_matches_per_call_access_on_non_pow2_fallback(specs in sessions_strategy()) {
+        race_sessions(non_pow2_config(), specs);
+    }
+}
+
+/// One scripted session that surely takes every transition: a Unison hit
+/// (metadata, data, store at the read's completion), a row change to the
+/// neighbour bank, a return, a same-bank conflict row in mid-session, a
+/// TAD and a whole-footprint write run back in the first row.
+#[test]
+fn scripted_session_with_row_change_and_conflict_matches_per_call() {
+    // (row selector, column seed, kind, offset, dependency): kind bit 0
+    // is the op, bits 1-2 the size (32, 64, 72, run), bits 3+ a run's
+    // length; dependency 0 takes the arrival from completion 0.
+    let script = vec![
+        (0, 0, 0b000, 0, 1),              // 32 B metadata read, row 5
+        (0, 64, 0b010, 0, 1),             // 64 B data read, row 5
+        (0, 64, 0b011, 0, 4),             // store at the data read's end
+        (3, 128, 0b010, 500, 1),          // row change: neighbour bank
+        (0, 256, 0b010, -300, 1),         // back to row 5, earlier arrival
+        (4, 0, 0b101, 0, 8),              // conflict row, 72 B TAD write
+        (0, 0, 0b110 | 14 << 3, 0, 0),    // 15-block footprint read, row 5
+        (5, 72, 0b100, 20_000, 1),        // second conflict row, TAD read
+        (1, 640, 0b111 | 31 << 3, 0, 12), // 32-block write run, row 5
+    ];
+    for cfg in DramPreset::ALL
+        .iter()
+        .map(|p| p.config())
+        .chain([non_pow2_config()])
+    {
+        race_sessions(cfg, vec![(7, script.clone()), (0, script.clone())]);
     }
 }
 

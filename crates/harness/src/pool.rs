@@ -107,9 +107,10 @@ where
         let next_ref = &next;
         let abort_ref = &abort;
         let f_ref = &f;
+        let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let tx = tx.clone();
-            scope.spawn(move || loop {
+            handles.push(scope.spawn(move || loop {
                 if abort_ref.load(Ordering::Relaxed) {
                     break;
                 }
@@ -126,7 +127,7 @@ where
                 if tx.send((i, out)).is_err() {
                     break;
                 }
-            });
+            }));
         }
         drop(tx);
         for (i, outcome) in rx {
@@ -145,6 +146,17 @@ where
                         panicked = Some((i, ns, payload));
                     }
                 }
+            }
+        }
+        // Join each worker rather than leave it to the scope, which
+        // returns once the worker's closure is done but not its thread:
+        // a joined thread has exited, so its malloc arena is free for the
+        // next call's workers. Without the join, a worker spawned right
+        // after could find no free arena and make glibc create another,
+        // which then keeps its own share of freed memory resident.
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
             }
         }
     });
