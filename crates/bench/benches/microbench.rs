@@ -381,6 +381,9 @@ fn bench_dram_access(c: &mut Criterion) {
 
     // A Unison write hit: a 32 B metadata read, a 64 B data read and a
     // 64 B store at the read's completion, all to the set's row.
+    // `UnisonCache` issues the per-call form: the session form gained
+    // nothing measurable per design, and this pair keeps the question
+    // open to re-measure.
     same_on_both_paths(
         "unison_hit",
         4096,

@@ -215,10 +215,8 @@ impl DramCacheModel for FootprintCache {
                 let block_bit = 1u32 << offset;
                 if self.meta.present(set, way) & block_bit != 0 {
                     // Hit: the SRAM tags name the exact way, so only the
-                    // data block is read from stacked DRAM. A write hit
-                    // stores to the same row in the same session.
-                    let mut row = mem.stacked.session();
-                    let d = row.access(
+                    // data block is read from stacked DRAM.
+                    let d = mem.stacked.access(
                         tag_known,
                         Op::Read,
                         self.data_loc(set, way, offset),
@@ -227,7 +225,7 @@ impl DramCacheModel for FootprintCache {
                     self.stats.stacked_read_bytes += BLOCK_BYTES;
                     let mut done = d.last_data_ps;
                     if req.is_write {
-                        let w = row.access(
+                        let w = mem.stacked.access(
                             d.last_data_ps,
                             Op::Write,
                             self.data_loc(set, way, offset),

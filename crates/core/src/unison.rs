@@ -417,14 +417,9 @@ impl DramCacheModel for UnisonCache {
         let wp_slot = matches!(self.cfg.way_policy, WayPolicy::Predict).then(|| self.wp.slot(page));
         let predicted_way = wp_slot.map_or(0, |slot| self.wp.predict(slot));
 
-        // Every stacked access below goes to the set's row, so one
-        // session enters the row once; it ends before an eviction or a
-        // fill, which reach the row through `MemPorts`.
-        let mut row = mem.stacked.session();
-
         // Metadata read: the tags + bit vectors of all ways (32 B for
         // 4 ways), always issued.
-        let meta = row.access(
+        let meta = mem.stacked.access(
             t0,
             Op::Read,
             self.meta_loc(at),
@@ -437,7 +432,7 @@ impl DramCacheModel for UnisonCache {
         let mut speculative_read_done = 0;
         match self.cfg.way_policy {
             WayPolicy::Predict => {
-                let d = row.access(
+                let d = mem.stacked.access(
                     t0,
                     Op::Read,
                     self.data_loc(at, predicted_way, offset),
@@ -447,7 +442,10 @@ impl DramCacheModel for UnisonCache {
                 speculative_read_done = d.last_data_ps;
             }
             WayPolicy::ParallelFetch => {
+                // Every way's block sits in the set's row: one session
+                // enters it once.
                 let ways = self.cfg.assoc.min(self.layout.pages_per_row);
+                let mut row = mem.stacked.session();
                 for w in 0..ways {
                     let d = row.access(
                         t0,
@@ -487,7 +485,7 @@ impl DramCacheModel for UnisonCache {
                             } else {
                                 // Mispredict: re-read the correct way; the
                                 // row is open, so this is a cheap row hit.
-                                let d = row.access(
+                                let d = mem.stacked.access(
                                     tag_known,
                                     Op::Read,
                                     self.data_loc(at, way, offset),
@@ -499,7 +497,7 @@ impl DramCacheModel for UnisonCache {
                         }
                         WayPolicy::ParallelFetch => speculative_read_done.max(tag_known),
                         WayPolicy::SerialTagData => {
-                            let d = row.access(
+                            let d = mem.stacked.access(
                                 tag_known,
                                 Op::Read,
                                 self.data_loc(at, way, offset),
@@ -521,7 +519,7 @@ impl DramCacheModel for UnisonCache {
                     let mut done = data_ready;
                     if req.is_write {
                         // Store data into the row (background).
-                        let w = row.access(
+                        let w = mem.stacked.access(
                             data_ready,
                             Op::Write,
                             self.data_loc(at, way, offset),
@@ -554,7 +552,7 @@ impl DramCacheModel for UnisonCache {
                         BLOCK_BYTES as u32,
                     );
                     self.stats.offchip_read_bytes += BLOCK_BYTES;
-                    let fill = row.access(
+                    let fill = mem.stacked.access(
                         oc.last_data_ps,
                         Op::Write,
                         self.data_loc(at, way, offset),
@@ -620,7 +618,6 @@ impl DramCacheModel for UnisonCache {
                     }
                 } else {
                     // Allocate: evict the LRU way, fetch the footprint.
-                    drop(row);
                     let way = self.meta.evict_victim(set);
                     let mut evict_done = tag_known;
                     if self.meta.is_valid(set, way) {

@@ -232,10 +232,11 @@ struct RowHorizons {
 /// multiply path as the executable reference the property suite races
 /// bit-for-bit.
 ///
-/// A run of accesses, such as a footprint fill or a tag read followed by
-/// a data read to the same row, goes through one [`Session`], which keeps
-/// a row's horizons in locals while the run stays in that row.
-/// [`Self::access`] is a session of one request.
+/// A run of accesses, such as a footprint fill or an Alloy TAD read
+/// followed by its store to the same row, goes through one [`Session`],
+/// which keeps a row's horizons in locals while the run stays in that
+/// row. [`Self::access`] gives exactly what a session of one request
+/// gives.
 ///
 /// Each counter is kept once: the energy model's command and activation
 /// counts are the [`DramStats`] counts, so [`Self::energy`] derives them
@@ -353,13 +354,17 @@ impl DramModel {
     /// runs straight through the row-hit step without touching the
     /// ACT/PRE/`tFAW` machinery in [`Self::activate`], which stays out of
     /// line. `access` is a one-request [`Session`] written out: the
-    /// session's general path, write-back and statistics, without the
-    /// held-row bookkeeping, so a one-call site (an off-chip access,
-    /// NoCache, Ideal) does not rely on the optimizer to fold that
-    /// bookkeeping away. Both are `#[inline(always)]`, so the designs in
-    /// other crates inline the row-hit path instead of calling it: with
-    /// no LTO in the release profile, a plain `#[inline]` left a call at
-    /// every design's call site.
+    /// session's general path, write-back and statistics helpers without
+    /// the session value itself. A session ends in its `Drop`, and the
+    /// release build keeps `Session`'s drop glue out of line, so an
+    /// `access` that delegated to `self.session()` paid a call per
+    /// request and measured 7% slower end to end than this form
+    /// (perfbench fig7-campaign `records_per_s`, ten pairs each against
+    /// the same baseline, 2-vCPU x86-64 VM). `access` and `session` are
+    /// `#[inline(always)]`, so the designs in other crates inline the
+    /// row-hit path instead of calling it: with no LTO in the release
+    /// profile, a plain `#[inline]` left a call at every design's call
+    /// site.
     /// Bit-identical to `access_reference` (pinned by
     /// `crates/dram/tests/model_properties.rs` across presets, both ops,
     /// and non-pow2 fallback geometry).
@@ -377,14 +382,9 @@ impl DramModel {
         let burst = self.timing.burst(bytes, &self.cfg);
         let (route, h, c) = self.open(now, rc.row, is_read, burst);
         self.close(route, h);
-        self.count(
-            is_read,
-            bytes,
-            burst,
-            1,
-            u64::from(c.row_hit),
-            u64::from(c.conflict),
-        );
+        let mut one = Tally::default();
+        one.record(is_read, bytes, burst, &c);
+        self.add(&one);
         c
     }
 
@@ -441,21 +441,18 @@ impl DramModel {
         self.bus_free[route.channel] = h.bus_free;
     }
 
-    /// Adds `n` accesses of one op and size to the statistics, `hits` of
-    /// them row hits and `conflicts` of them row conflicts.
+    /// Adds the statistics of a finished [`Tally`] to the device.
     #[inline(always)]
-    fn count(&mut self, is_read: bool, bytes: u32, burst: Ps, n: u64, hits: u64, conflicts: u64) {
-        if is_read {
-            self.stats.reads += n;
-            self.bytes_read += n * u64::from(bytes);
-        } else {
-            self.stats.writes += n;
-            self.bytes_written += n * u64::from(bytes);
-        }
-        self.stats.row_hits += hits;
-        self.stats.row_conflicts += conflicts;
-        self.stats.row_empty += n - hits - conflicts;
-        self.stats.bus_busy_ps += n * burst;
+    fn add(&mut self, t: &Tally) {
+        let s = &mut self.stats;
+        s.reads += t.stats.reads;
+        s.writes += t.stats.writes;
+        s.row_hits += t.stats.row_hits;
+        s.row_conflicts += t.stats.row_conflicts;
+        s.row_empty += t.stats.reads + t.stats.writes - t.stats.row_hits - t.stats.row_conflicts;
+        s.bus_busy_ps += t.stats.bus_busy_ps;
+        self.bytes_read += t.bytes_read;
+        self.bytes_written += t.bytes_written;
     }
 
     /// The activation slow path: needs an ACT, maybe a PRE first, under
@@ -679,8 +676,7 @@ impl DramModel {
 /// the device while it is open: that is what keeps the held horizons
 /// current, and the compiler enforces it. A cache design opens one
 /// session for the requests one of its accesses makes to a row — for
-/// instance Unison's metadata read, its predicted-way read and a
-/// write-hit store to the set's row.
+/// instance Alloy's TAD probe and its write-hit store or fill write.
 ///
 /// # Example
 ///
@@ -713,12 +709,31 @@ struct HeldRow {
     h: RowHorizons,
 }
 
-/// The statistics a [`Session`] adds to its device when it ends.
+/// The statistics a [`Session`] adds to its device when it ends
+/// ([`DramModel::access`] keeps one for its single request). Row-empty
+/// activations are derived when the tally is added.
 #[derive(Debug, Default)]
 struct Tally {
     stats: DramStats,
     bytes_read: u64,
     bytes_written: u64,
+}
+
+impl Tally {
+    /// Counts one access of `bytes` that completed as `c`.
+    #[inline(always)]
+    fn record(&mut self, is_read: bool, bytes: u32, burst: Ps, c: &Completion) {
+        if is_read {
+            self.stats.reads += 1;
+            self.bytes_read += u64::from(bytes);
+        } else {
+            self.stats.writes += 1;
+            self.bytes_written += u64::from(bytes);
+        }
+        self.stats.row_hits += u64::from(c.row_hit);
+        self.stats.row_conflicts += u64::from(c.conflict);
+        self.stats.bus_busy_ps += burst;
+    }
 }
 
 impl Session<'_> {
@@ -752,17 +767,7 @@ impl Session<'_> {
                 c
             }
         };
-        let t = &mut self.tally;
-        if is_read {
-            t.stats.reads += 1;
-            t.bytes_read += u64::from(bytes);
-        } else {
-            t.stats.writes += 1;
-            t.bytes_written += u64::from(bytes);
-        }
-        t.stats.row_hits += u64::from(c.row_hit);
-        t.stats.row_conflicts += u64::from(c.conflict);
-        t.stats.bus_busy_ps += burst;
+        self.tally.record(is_read, bytes, burst, &c);
         c
     }
 
@@ -779,16 +784,7 @@ impl Drop for Session<'_> {
     #[inline(always)]
     fn drop(&mut self) {
         self.release();
-        let (t, d) = (&self.tally, &mut *self.dev);
-        let s = &mut d.stats;
-        s.reads += t.stats.reads;
-        s.writes += t.stats.writes;
-        s.row_hits += t.stats.row_hits;
-        s.row_conflicts += t.stats.row_conflicts;
-        s.row_empty += t.stats.reads + t.stats.writes - t.stats.row_hits - t.stats.row_conflicts;
-        s.bus_busy_ps += t.stats.bus_busy_ps;
-        d.bytes_read += t.bytes_read;
-        d.bytes_written += t.bytes_written;
+        self.dev.add(&self.tally);
     }
 }
 

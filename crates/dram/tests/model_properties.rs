@@ -265,7 +265,7 @@ fn race_sessions(cfg: DramConfig, specs: Vec<SessionSpec>) {
     let banks = u64::from(cfg.total_banks());
     for (i, row) in [5, 6, 5 + banks, 5 + 2 * banks].into_iter().enumerate() {
         for op in [Op::Read, Op::Write] {
-            let at = 1_200_000 + 1_000 * i as u64;
+            let at = 200_000 + 1_000 * i as u64;
             let rc = RowCol::new(row, 0);
             let want = per_call.access(at, op, rc, 64);
             assert_eq!(
