@@ -35,18 +35,13 @@
 //! bit-identically. `--list` prints every valid design, DRAM preset,
 //! way policy, and workload name in one place.
 //!
-//! **Orchestration.** `--orchestrate N` supervises the whole sharded
-//! pipeline in one command: N child `sweep --shard i/N` worker
-//! processes, each journaled, restarted from their journals on crash
-//! under bounded exponential backoff (`--max-restarts`, default 3),
-//! with cells that kill a worker twice in a row quarantined via
-//! `--skip-cells`. On success the shard outputs are merged and rendered
-//! exactly as an unsharded run; on degradation the run finishes with a
-//! partial result, a manifest naming every missing cell
-//! (`manifest.json` in `--orchestrate-dir`), and exit status 1.
-
-use std::path::PathBuf;
-use std::process::Command;
+//! **Recovery.** `--journal FILE` checkpoints every completed cell;
+//! after a kill, rerunning the same command with `--resume` restores
+//! them and simulates only the rest, bit-identically. `--resume` on a
+//! missing journal starts fresh, so a bounded retry loop
+//! (`for i in 1 2 3; do sweep … --journal c.jsonl --resume && break;
+//! done`) recovers from transient deaths. A cell that panics is named
+//! on stderr by its `[key=…]` tag.
 
 use unison_bench::table::{pct, size_label, speedup};
 use unison_bench::{BenchOpts, Table};
@@ -54,8 +49,8 @@ use unison_core::WayPolicy;
 use unison_dram::DramPreset;
 use unison_harness::telemetry::fmt_ns;
 use unison_harness::{
-    merge_shards, orchestrator, CampaignResult, CellKey, OrchestrateOutcome, OrchestratorConfig,
-    ScenarioGrid, ShardOutput, ShardSpec, TaskPlan, WorkerLaunch,
+    merge_shards, write_shard_output, CampaignResult, ScenarioGrid, ShardOutput, ShardSpec,
+    TaskPlan,
 };
 use unison_sim::{scenarios_from_json, Design, Scenario, SystemSpec};
 use unison_trace::{workloads, WorkloadSpec};
@@ -70,10 +65,6 @@ struct SweepArgs {
     metric: Metric,
     shard: Option<ShardSpec>,
     merge: Vec<String>,
-    orchestrate: Option<u32>,
-    orchestrate_dir: Option<PathBuf>,
-    max_restarts: u32,
-    skip_cells: Vec<CellKey>,
     list: bool,
     canonical: bool,
 }
@@ -91,20 +82,12 @@ fn fail(msg: &str) -> ! {
          [--seeds s1,s2,..] [--cores n1,n2,..] [--dram-preset p1,p2,..] \
          [--offchip-preset p1,p2,..] [--page-bytes b1,b2,..] [--ways w1,w2,..] \
          [--way-policy p1,p2,..] [--scenario FILE.json] [--dump-scenario] \
-         [--metric speedup|miss] [--shard I/N] [--merge FILE..] [--orchestrate N] \
-         [--orchestrate-dir DIR] [--max-restarts K] [--skip-cells k1,k2,..] [--list] \
-         [--canonical] [shared bench flags]"
+         [--metric speedup|miss] [--shard I/N] [--merge FILE..] [--list] [--canonical] \
+         [shared bench flags]"
     );
     eprintln!("  --shard I/N   run only shard I (1-based) of the deterministic, cost-balanced");
     eprintln!("                N-way cell partition; writes a shard-output file to --json");
     eprintln!("  --merge F..   verify + merge shard-output files from the same grid flags");
-    eprintln!("  --orchestrate N       supervise N journaled shard worker processes: restart");
-    eprintln!("                        crashed workers from their journals, quarantine cells");
-    eprintln!("                        that kill a worker twice in a row, merge on completion");
-    eprintln!("  --orchestrate-dir DIR scratch dir for worker journals/outputs/logs and the");
-    eprintln!("                        manifest (default .unison-orchestrate-<fingerprint>)");
-    eprintln!("  --max-restarts K      restarts allowed per worker before giving up (default 3)");
-    eprintln!("  --skip-cells k1,..    with --shard: skip these cell keys (quarantine hand-off)");
     eprintln!("  --list        print every valid design, preset, policy, and workload");
     eprintln!("  --canonical   write --json as the timing-stripped cells array (byte-identical");
     eprintln!("                across reruns/shardings/resumes) instead of the summary document");
@@ -228,10 +211,6 @@ fn parse_sweep_args(extra: Vec<String>) -> SweepArgs {
         metric: Metric::Speedup,
         shard: None,
         merge: Vec::new(),
-        orchestrate: None,
-        orchestrate_dir: None,
-        max_restarts: 3,
-        skip_cells: Vec::new(),
         list: false,
         canonical: false,
     };
@@ -312,25 +291,6 @@ fn parse_sweep_args(extra: Vec<String>) -> SweepArgs {
                     args.merge.push(path);
                 }
             }
-            "--orchestrate" => {
-                let n = grab();
-                args.orchestrate = Some(
-                    n.parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| fail(&format!("bad --orchestrate worker count {n:?}"))),
-                );
-            }
-            "--orchestrate-dir" => args.orchestrate_dir = Some(PathBuf::from(grab())),
-            "--max-restarts" => {
-                let k = grab();
-                args.max_restarts = k
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad --max-restarts {k:?}")));
-            }
-            "--skip-cells" => {
-                args.skip_cells = parse_list("--skip-cells", &grab(), CellKey::from_hex);
-            }
             "--list" => args.list = true,
             "--canonical" => args.canonical = true,
             "--metric" => {
@@ -368,18 +328,6 @@ fn parse_sweep_args(extra: Vec<String>) -> SweepArgs {
     if args.shard.is_some() && !args.merge.is_empty() {
         fail("--shard and --merge are mutually exclusive");
     }
-    if args.orchestrate.is_some() && (args.shard.is_some() || !args.merge.is_empty()) {
-        fail(
-            "--orchestrate supervises its own shard workers and merges their outputs; \
-             it cannot combine with --shard or --merge",
-        );
-    }
-    if !args.skip_cells.is_empty() && args.shard.is_none() {
-        fail(
-            "--skip-cells applies to --shard worker processes \
-             (the orchestrator passes it when quarantining a cell)",
-        );
-    }
     args
 }
 
@@ -414,11 +362,9 @@ fn run_shard(opts: &BenchOpts, sweep: &SweepArgs, grid: &ScenarioGrid, shard: Sh
     if opts.csv.is_some() {
         fail("--csv is unavailable with --shard (partial grid); render it from --merge");
     }
-    let mut campaign = opts.campaign();
-    if !sweep.skip_cells.is_empty() {
-        campaign = campaign.exclude(sweep.skip_cells.iter().copied());
-    }
-    let out = campaign.run_plan(grid, sweep.metric == Metric::Speedup, shard);
+    let out = opts
+        .campaign()
+        .run_plan(grid, sweep.metric == Metric::Speedup, shard);
     let executed = out.cells.len() - out.resumed_cells;
     println!(
         "shard {}: {} of {} cells ({} executed, {} restored from journal); \
@@ -430,7 +376,7 @@ fn run_shard(opts: &BenchOpts, sweep: &SweepArgs, grid: &ScenarioGrid, shard: Sh
         out.resumed_cells,
         out.fingerprint,
     );
-    orchestrator::write_shard_output(json, &out).unwrap_or_else(|e| fail(&e));
+    write_shard_output(json, &out).unwrap_or_else(|e| fail(&e));
     println!("(wrote {})", json.display());
 }
 
@@ -468,94 +414,6 @@ fn merge_outputs(opts: &BenchOpts, sweep: &SweepArgs, grid: &ScenarioGrid) -> Ca
         outputs.push(out);
     }
     merge_shards(outputs).unwrap_or_else(|e| fail(&e))
-}
-
-/// Reconstructs this invocation's argv for a shard worker process:
-/// everything the user passed, minus the flags the orchestrator owns
-/// (`--orchestrate*`, `--max-restarts`), re-injects per worker
-/// (`--shard`, `--json`, `--journal`, `--resume`, `--threads`,
-/// `--skip-cells`), or that only makes sense in the parent (sinks,
-/// `--canonical`, progress streams — workers log per-cell lines to
-/// their own log files instead).
-fn worker_argv(worker_threads: usize) -> Vec<String> {
-    const DROP_WITH_VALUE: &[&str] = &[
-        "--orchestrate",
-        "--orchestrate-dir",
-        "--max-restarts",
-        "--json",
-        "--csv",
-        "--journal",
-        "--threads",
-        "--skip-cells",
-        "--shard",
-    ];
-    const DROP_FLAG: &[&str] = &["--resume", "--canonical", "--list", "--dump-scenario"];
-    let mut out = Vec::new();
-    let mut it = std::env::args().skip(1).peekable();
-    while let Some(arg) = it.next() {
-        if DROP_WITH_VALUE.contains(&arg.as_str()) {
-            it.next();
-            continue;
-        }
-        if DROP_FLAG.contains(&arg.as_str()) || arg.starts_with("--progress") {
-            continue;
-        }
-        if arg == "--merge" {
-            while it.next_if(|a| !a.starts_with("--")).is_some() {}
-            continue;
-        }
-        out.push(arg);
-    }
-    out.push("--threads".to_string());
-    out.push(worker_threads.to_string());
-    out
-}
-
-/// Runs the campaign as `workers` supervised shard worker processes and
-/// returns the (possibly partial) outcome.
-fn run_orchestrated(
-    opts: &BenchOpts,
-    sweep: &SweepArgs,
-    grid: &ScenarioGrid,
-    workers: u32,
-) -> OrchestrateOutcome {
-    if opts.journal.is_some() || opts.resume {
-        fail(
-            "--orchestrate manages a journal per worker (always resumed); \
-             --journal/--resume do not apply to the supervisor",
-        );
-    }
-    let plan = TaskPlan::lower(&opts.cfg, grid, sweep.metric == Metric::Speedup);
-    let dir = sweep
-        .orchestrate_dir
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(format!(".unison-orchestrate-{}", plan.fingerprint())));
-    let mut cfg = OrchestratorConfig::new(workers, dir.clone());
-    cfg.max_restarts = sweep.max_restarts;
-    cfg.quiet = !opts.progress_config().enabled();
-
-    let exe = std::env::current_exe()
-        .unwrap_or_else(|e| fail(&format!("cannot locate the sweep executable: {e}")));
-    // Split the pool across workers so N workers don't oversubscribe the
-    // machine N-fold.
-    let worker_threads = opts.threads.div_ceil(workers.max(1) as usize).max(1);
-    let base_args = worker_argv(worker_threads);
-    let launch = move |l: &WorkerLaunch<'_>| {
-        let mut cmd = Command::new(&exe);
-        cmd.args(&base_args)
-            .arg("--shard")
-            .arg(l.shard.display())
-            .arg("--json")
-            .arg(&l.paths.output)
-            .arg("--journal")
-            .arg(&l.paths.journal)
-            .arg("--resume");
-        if !l.skip.is_empty() {
-            cmd.arg("--skip-cells").arg(l.skip.join(","));
-        }
-        cmd
-    };
-    orchestrator::run(&plan, &cfg, &launch).unwrap_or_else(|e| fail(&e))
 }
 
 fn main() {
@@ -598,9 +456,7 @@ fn main() {
         return;
     }
 
-    opts.print_header(if sweep.orchestrate.is_some() {
-        "Sweep: orchestrated campaign"
-    } else if sweep.merge.is_empty() {
+    opts.print_header(if sweep.merge.is_empty() {
         "Sweep: user-specified experiment grid"
     } else {
         "Sweep: merged shard outputs"
@@ -617,20 +473,7 @@ fn main() {
         println!();
     }
 
-    let mut orchestrated: Option<OrchestrateOutcome> = None;
-    let results = if let Some(workers) = sweep.orchestrate {
-        let outcome = run_orchestrated(&opts, &sweep, &grid, workers);
-        println!(
-            "orchestrated: {} worker(s), {} restart(s); manifest {}",
-            workers,
-            outcome.manifest.total_restarts,
-            outcome.manifest_path.display()
-        );
-        println!();
-        let result = outcome.result.clone();
-        orchestrated = Some(outcome);
-        result
-    } else if sweep.merge.is_empty() {
+    let results = if sweep.merge.is_empty() {
         let campaign = opts.campaign();
         match sweep.metric {
             Metric::Speedup => campaign.run_speedups(&grid),
@@ -751,36 +594,4 @@ fn main() {
         opts.maybe_dump_campaign_json(&results);
     }
     opts.maybe_dump_csv(&results);
-
-    // An orchestrated campaign that degraded still rendered everything
-    // recoverable above; now say exactly what is missing and exit
-    // nonzero so scripts cannot mistake a partial sweep for a full one.
-    if let Some(outcome) = &orchestrated {
-        if !outcome.is_complete() {
-            let m = &outcome.manifest;
-            eprintln!();
-            eprintln!(
-                "error: orchestrated campaign is PARTIAL: {} of {} cells completed, \
-                 {} quarantined",
-                m.completed_cells,
-                m.total_cells,
-                m.quarantined.len()
-            );
-            for q in &m.quarantined {
-                eprintln!(
-                    "  cell {} key={} (worker {}): {}{}",
-                    q.index,
-                    q.key,
-                    q.worker,
-                    q.cell,
-                    q.error
-                        .as_ref()
-                        .map(|e| format!(" — {e}"))
-                        .unwrap_or_default()
-                );
-            }
-            eprintln!("  manifest: {}", outcome.manifest_path.display());
-            std::process::exit(1);
-        }
-    }
 }

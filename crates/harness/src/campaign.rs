@@ -18,12 +18,11 @@ use unison_sim::{
 };
 
 use crate::baseline::BaselineStore;
-use crate::fault;
 use crate::grid::{Cell, ScenarioGrid};
 use crate::journal::{IndexedCell, Journal, ShardOutput};
 use crate::pool::{self, parallel_map};
 use crate::progress::{CounterSnapshot, ProgressConfig, ProgressReporter};
-use crate::scheduler::{BaselineTask, CellKey, PlannedCell, ShardSpec, TaskPlan, TracePrefillTask};
+use crate::scheduler::{BaselineTask, PlannedCell, ShardSpec, TaskPlan, TracePrefillTask};
 use crate::stats::geomean;
 use crate::telemetry::{CampaignTiming, Clock, MonotonicClock, Phase, Telemetry};
 use crate::trace_store::TraceStore;
@@ -285,7 +284,6 @@ pub struct Campaign {
     traces: TracePolicy,
     journal: Option<PathBuf>,
     resume: bool,
-    excluded: HashSet<CellKey>,
     clock: Arc<dyn Clock>,
 }
 
@@ -300,7 +298,6 @@ impl Campaign {
             traces: TracePolicy::default(),
             journal: None,
             resume: false,
-            excluded: HashSet::new(),
             clock: Arc::new(MonotonicClock::new()),
         }
     }
@@ -365,20 +362,6 @@ impl Campaign {
     /// plan. A missing journal file simply starts fresh.
     pub fn resume(mut self, on: bool) -> Self {
         self.resume = on;
-        self
-    }
-
-    /// Excludes (quarantines) specific cells from **execution**: a cell
-    /// whose [`CellKey`] is listed is never simulated, though one
-    /// already completed in a resume journal is still restored. This is
-    /// the orchestrator's quarantine hand-off (`sweep --skip-cells`): a
-    /// worker relaunched after repeated crashes on one cell skips it and
-    /// completes the rest of its shard, degrading gracefully instead of
-    /// crash-looping. The resulting [`ShardOutput`] simply lacks the
-    /// excluded cells, which the supervisor accounts for in its
-    /// partial-result manifest.
-    pub fn exclude(mut self, keys: impl IntoIterator<Item = CellKey>) -> Self {
-        self.excluded.extend(keys);
         self
     }
 
@@ -479,17 +462,7 @@ impl Campaign {
                     .unwrap_or_default()
             );
         }
-        let mut skip: HashSet<usize> = restored.iter().map(|e| e.index).collect();
-        if !self.excluded.is_empty() {
-            // Quarantined cells: never execute (restored ones above are
-            // kept — a journaled completion is a completion).
-            skip.extend(
-                plan.cells
-                    .iter()
-                    .filter(|pc| self.excluded.contains(&pc.key))
-                    .map(|pc| pc.index),
-            );
-        }
+        let skip: HashSet<usize> = restored.iter().map(|e| e.index).collect();
         let to_run: Vec<usize> = assigned
             .iter()
             .copied()
@@ -586,7 +559,6 @@ impl Campaign {
                 &tasks,
                 self.threads,
                 |pc| {
-                    fault::check_cell_start(&pc.key.hex());
                     // Stamped on the worker thread: wall time of this
                     // cell's simulation alone, excluding queueing.
                     let start = telemetry.now_ns();
@@ -594,9 +566,9 @@ impl Campaign {
                     r.wall_ns = telemetry.now_ns().saturating_sub(start);
                     r
                 },
-                // The [key=…] tag is machine-parseable culprit identity:
-                // the orchestrator greps a dead worker's log for it to
-                // decide which cell to quarantine.
+                // The [key=…] tag names the failing cell exactly for a
+                // reader of the log: it matches that cell's journal and
+                // shard-output entries.
                 &|pc| format!("{} [key={}]", pc.cell.describe(), pc.key.hex()),
                 &mut |slot, r: &CellResult| {
                     let pc = tasks[slot];
@@ -617,9 +589,6 @@ impl Campaign {
                     ) {
                         eprintln!("{line}");
                     }
-                    // After the journal append: the cells counted as
-                    // completed really are durable when this fires.
-                    fault::cell_completed(&pc.key.hex());
                 },
             )
         });
@@ -977,6 +946,51 @@ mod tests {
             serde_json::to_string(&r.cells[0].run).unwrap(),
             serde_json::to_string(&r.cells[1].run).unwrap(),
             "same machine, same workload, same seed => same result"
+        );
+    }
+
+    /// A genuine panic in a cell that shares its trace artifact with an
+    /// earlier cell must name that cell: the `[key=…]` tag in the pool's
+    /// re-raised message is how a reader of the log finds the culprit,
+    /// so a neighbour's key there would point at a healthy cell.
+    #[test]
+    fn culprit_of_a_cell_panic_is_that_cell_not_its_trace_neighbour() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        // Zero ways trips an assertion inside the Unison constructor: a
+        // real panic in the run hook, after Unison on the same trace
+        // (equal predicted cost, so plan order decides who starts first).
+        let grid = ScenarioGrid::new()
+            .designs([Design::Unison, Design::UnisonAssoc(0)])
+            .workloads([workloads::web_search()])
+            .sizes([256 << 20]);
+        let cfg = SimConfig::quick_test();
+        let plan = TaskPlan::lower(&cfg, &grid, false);
+        let faulty = plan
+            .cells
+            .iter()
+            .find(|pc| pc.cell.design == Design::UnisonAssoc(0))
+            .expect("the zero-way cell is planned");
+        let neighbour = plan
+            .cells
+            .iter()
+            .find(|pc| pc.prefill == faulty.prefill && pc.index < faulty.index)
+            .expect("the faulty cell must not be first in its trace group");
+
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            Campaign::new(cfg).threads(1).run(&grid)
+        }))
+        .expect_err("a zero-way Unison cell must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("the pool re-raises with a String payload");
+        assert!(
+            msg.contains(&format!("[key={}]", faulty.key.hex())),
+            "culprit not named: {msg}"
+        );
+        assert!(
+            !msg.contains(&neighbour.key.hex()),
+            "culprit misattributed to the trace neighbour: {msg}"
         );
     }
 }

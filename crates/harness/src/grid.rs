@@ -54,9 +54,6 @@ pub struct ScenarioGrid {
     seeds: Vec<u64>,
 }
 
-/// The grid type's pre-scenario name; the scenario axis subsumed it.
-pub type ExperimentGrid = ScenarioGrid;
-
 impl ScenarioGrid {
     /// Creates an empty grid.
     pub fn new() -> Self {

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::{CampaignResult, CellResult};
-use crate::fault;
+use crate::errors::IoContext;
 use crate::scheduler::TaskPlan;
 use crate::telemetry::CampaignTiming;
 
@@ -201,49 +201,12 @@ impl Journal {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        if let Some(prefix) = fault::torn_journal_prefix(&line) {
-            // Injected mid-write kill: flush half the line with no
-            // newline — the exact tail a real crash leaves — then die.
-            let _ = write!(file, "{prefix}");
-            let _ = file.flush();
-            fault::die(&format!(
-                "torn-journal tearing the append of cell key={}",
-                entry.key
-            ));
-        }
         if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
             eprintln!(
                 "[journal] failed to append to {} ({e}); continuing without checkpoint",
                 self.path.display()
             );
         }
-    }
-
-    /// Reads the completed cells a journal records **without** opening
-    /// it for append or truncating its torn tail — the orchestrator's
-    /// salvage path for a worker that exhausted its restart budget: the
-    /// dead worker's durable completions are recovered read-only, while
-    /// the journal file itself is left exactly as the crash left it.
-    ///
-    /// A missing or never-written file is simply empty. A torn final
-    /// line or torn header is tolerated (as in [`Journal::resume`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for an unreadable file, a journal belonging to
-    /// a different plan, or corruption before the final line.
-    pub fn peek(path: &Path, plan: &TaskPlan) -> Result<Vec<IndexedCell>, String> {
-        if !path.exists() {
-            return Ok(Vec::new());
-        }
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-        if text.trim().is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(parse_entries(&text, plan, path)?
-            .map(|(entries, _)| entries)
-            .unwrap_or_default())
     }
 }
 
@@ -408,6 +371,21 @@ impl ShardOutput {
     pub fn into_campaign_result(self) -> Result<CampaignResult, String> {
         merge_shards(vec![self])
     }
+}
+
+/// Serializes one shard output as pretty JSON and writes it to `path` —
+/// what `sweep --shard I/N --json FILE` writes and `sweep --merge` reads.
+///
+/// # Errors
+///
+/// Returns a one-line message naming the path on serialization or write
+/// failure.
+pub fn write_shard_output(path: &Path, out: &ShardOutput) -> Result<(), String> {
+    let text = serde_json::to_string_pretty(out)
+        .map_err(|e| format!("shard output does not serialize: {e}"))?;
+    std::fs::write(path, text + "\n")
+        .file_ctx("write shard output", path)
+        .map_err(|e| e.to_string())
 }
 
 /// Verifies `outputs` form one complete partition of a single plan and
@@ -623,43 +601,6 @@ mod tests {
         let fresh = dir.join("missing.jsonl");
         let (_j, restored) = Journal::resume(&fresh, &plan).unwrap();
         assert!(restored.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn peek_salvages_read_only_without_touching_the_file() {
-        let dir = scratch("peek");
-        let path = dir.join("j.jsonl");
-        let cfg = SimConfig::quick_test();
-        let plan = TaskPlan::lower(&cfg, &grid(), true);
-        let full = Campaign::new(cfg).threads(1).run_speedups(&grid());
-        let j = Journal::create(&path, &plan).unwrap();
-        for (i, cell) in full.cells().iter().enumerate() {
-            j.append(&IndexedCell {
-                index: i,
-                key: plan.cells[i].key.hex(),
-                result: cell.clone(),
-            });
-        }
-        drop(j);
-
-        // Tear the tail as a crash would; peek tolerates it, recovers
-        // the durable prefix, and leaves the file bytes untouched.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let torn = &text[..text.len() - 10];
-        std::fs::write(&path, torn).unwrap();
-        let salvaged = Journal::peek(&path, &plan).unwrap();
-        assert_eq!(salvaged.len(), full.cells().len() - 1);
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), torn);
-
-        // Missing file: empty, not an error. Foreign plan: refused.
-        assert!(Journal::peek(&dir.join("gone.jsonl"), &plan)
-            .unwrap()
-            .is_empty());
-        let mut other = cfg;
-        other.seed = 9;
-        let other_plan = TaskPlan::lower(&other, &grid(), true);
-        assert!(Journal::peek(&path, &other_plan).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

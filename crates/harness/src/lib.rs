@@ -39,8 +39,9 @@
 //!   Every process derives the same schedule from the plan alone.
 //! * [`Journal`] ([`journal`]) — append-only JSONL checkpoint of
 //!   completed cells; `Campaign::journal(path).resume(true)` restores
-//!   the completed prefix after an interruption and runs only the rest,
-//!   bit-identical to an uninterrupted campaign.
+//!   the completed prefix after an interruption (a kill, an OOM, a torn
+//!   final append) and runs only the rest, bit-identical to an
+//!   uninterrupted campaign.
 //! * [`Telemetry`] ([`telemetry`]) + [`ProgressReporter`] ([`progress`])
 //!   — campaign observability: phase timers and per-cell wall times
 //!   under an injectable [`Clock`] (deterministic in tests via
@@ -49,24 +50,15 @@
 //!   identity: it feeds no key or fingerprint, and byte-identity
 //!   checks compare [`CampaignResult::canonical_cells`] (timing
 //!   stripped).
-//! * [`orchestrator`] — the fault-tolerant campaign supervisor behind
-//!   `sweep --orchestrate N`: journaled shard worker processes,
-//!   crash-restart under bounded exponential backoff, repeat-offender
-//!   cell quarantine, journal salvage, and an explicit partial-result
-//!   [`CampaignManifest`] when the campaign degrades. Paired with
-//!   [`fault`], a deterministic env-triggered fault-injection layer
-//!   (`UNISON_FAULT=crash-after-cells:K`, `torn-journal`,
-//!   `corrupt-shard-output`, `panic-on-cell:KEY`) that makes the
-//!   recovery paths testable end to end.
 //!
 //! # Example
 //!
 //! ```
-//! use unison_harness::{Campaign, ExperimentGrid};
+//! use unison_harness::{Campaign, ScenarioGrid};
 //! use unison_sim::{Design, SimConfig};
 //! use unison_trace::workloads;
 //!
-//! let grid = ExperimentGrid::new()
+//! let grid = ScenarioGrid::new()
 //!     .designs([Design::Unison, Design::Ideal])
 //!     .workloads([workloads::web_search()])
 //!     .sizes([256 << 20]);
@@ -83,10 +75,8 @@
 mod baseline;
 mod campaign;
 pub mod errors;
-pub mod fault;
 mod grid;
 pub mod journal;
-pub mod orchestrator;
 pub mod pool;
 pub mod progress;
 pub mod scheduler;
@@ -98,16 +88,9 @@ mod trace_store;
 pub use baseline::BaselineStore;
 pub use campaign::{Campaign, CampaignResult, CampaignSummary, CellResult, TracePolicy};
 pub use errors::{FileError, IoContext};
-pub use grid::{Cell, ExperimentGrid, ScenarioGrid};
-pub use journal::{merge_shards, IndexedCell, Journal, ShardOutput};
-pub use orchestrator::{
-    CampaignManifest, OrchestrateOutcome, OrchestratorConfig, QuarantinedCell, WorkerLaunch,
-    WorkerPaths, WorkerReport,
-};
-pub use progress::{
-    CounterSnapshot, FleetProgress, ProgressConfig, ProgressMode, ProgressReporter, WorkerPhase,
-    WorkerSample,
-};
+pub use grid::{Cell, ScenarioGrid};
+pub use journal::{merge_shards, write_shard_output, IndexedCell, Journal, ShardOutput};
+pub use progress::{CounterSnapshot, ProgressConfig, ProgressMode, ProgressReporter};
 pub use scheduler::{CellKey, PlannedCell, ShardSpec, TaskPlan};
 pub use telemetry::{CampaignTiming, Clock, MockClock, MonotonicClock, Phase, Telemetry};
 pub use trace_store::{HeldArtifacts, TraceStore};

@@ -201,10 +201,9 @@ fn relabel_panic(
         eprintln!("[pool] worker panicked running {what} after {after} (non-string payload)");
         resume_unwind(payload);
     };
-    // Also emitted directly to stderr: the orchestrator diagnoses a dead
-    // worker from its captured log, and this line carries the cell
-    // identity (including the [key=…] tag) even if a custom panic hook
-    // swallows or reformats the re-raised panic below.
+    // Also emitted directly to stderr, so a human reading the log sees
+    // the cell identity (including the [key=…] tag) even if a custom
+    // panic hook swallows or reformats the re-raised panic below.
     eprintln!("[pool] worker panicked running {what} after {after}: {msg}");
     panic!("worker panicked running {what} after {after}: {msg}");
 }

@@ -386,107 +386,6 @@ fn render_human(e: &ProgressEvent) -> String {
     line
 }
 
-/// Supervision state of one orchestrated worker at a sampling instant —
-/// the orchestrator's view, not the worker's own reporter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerPhase {
-    /// The worker process is alive and executing cells.
-    Running,
-    /// The worker died and is waiting out its restart backoff.
-    BackingOff,
-    /// The worker's shard output was verified complete.
-    Done,
-    /// The worker exhausted its restart budget.
-    Failed,
-}
-
-impl WorkerPhase {
-    fn label(self) -> &'static str {
-        match self {
-            WorkerPhase::Running => "running",
-            WorkerPhase::BackingOff => "backing off",
-            WorkerPhase::Done => "done",
-            WorkerPhase::Failed => "FAILED",
-        }
-    }
-}
-
-/// One worker's progress sample: fed by the orchestrator (which counts
-/// the worker's journal entries), rendered by [`FleetProgress`].
-#[derive(Debug, Clone)]
-pub struct WorkerSample {
-    /// 0-based worker index.
-    pub worker: u32,
-    /// Cells durably completed (journaled) by this worker so far.
-    pub done: usize,
-    /// Cells assigned to this worker's shard.
-    pub total: usize,
-    /// Restarts consumed so far.
-    pub restarts: u32,
-    /// Current supervision state.
-    pub phase: WorkerPhase,
-}
-
-/// Rate-limited fleet-wide progress lines for an orchestrated campaign.
-/// Pure state like [`ProgressReporter`]: the orchestrator feeds clock
-/// readings and per-worker samples and emits whatever comes back, so the
-/// cadence and rendering are unit-testable without subprocesses.
-#[derive(Debug)]
-pub struct FleetProgress {
-    interval_ns: u64,
-    start_ns: u64,
-    last_emit_ns: Option<u64>,
-}
-
-impl FleetProgress {
-    /// Creates a fleet reporter emitting at most every `interval_ns`,
-    /// starting at clock reading `start_ns`.
-    pub fn new(interval_ns: u64, start_ns: u64) -> Self {
-        FleetProgress {
-            interval_ns,
-            start_ns,
-            last_emit_ns: None,
-        }
-    }
-
-    /// Feeds one sampling of the whole fleet; returns the line to emit
-    /// when the rate limit allows (and always stays quiet within the
-    /// interval, no matter how often the supervision loop samples).
-    pub fn sample(&mut self, now_ns: u64, workers: &[WorkerSample]) -> Option<String> {
-        let since = match self.last_emit_ns {
-            None => now_ns.saturating_sub(self.start_ns),
-            Some(last) => now_ns.saturating_sub(last),
-        };
-        if since < self.interval_ns {
-            return None;
-        }
-        self.last_emit_ns = Some(now_ns);
-        Some(Self::render(workers))
-    }
-
-    /// Renders one fleet status line (also used for the final summary,
-    /// which bypasses the rate limit).
-    pub fn render(workers: &[WorkerSample]) -> String {
-        let done: usize = workers.iter().map(|w| w.done).sum();
-        let total: usize = workers.iter().map(|w| w.total).sum();
-        let per: Vec<String> = workers
-            .iter()
-            .map(|w| {
-                let mut s = format!("w{} {}/{} {}", w.worker, w.done, w.total, w.phase.label());
-                if w.restarts > 0 {
-                    s.push_str(&format!(" ({} restart(s))", w.restarts));
-                }
-                s
-            })
-            .collect();
-        format!(
-            "[orchestrate] {done}/{total} cells across {} worker(s): {}",
-            workers.len(),
-            per.join(", ")
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,46 +602,6 @@ mod tests {
         assert_eq!(ProgressConfig::json(Some(1)).mode, ProgressMode::Json);
         assert!(!ProgressConfig::off().enabled());
         assert!(ProgressConfig::per_cell().enabled());
-    }
-
-    #[test]
-    fn fleet_progress_rate_limits_and_renders_every_worker() {
-        let mut fleet = FleetProgress::new(2 * SEC, 0);
-        let workers = vec![
-            WorkerSample {
-                worker: 0,
-                done: 3,
-                total: 8,
-                restarts: 1,
-                phase: WorkerPhase::Running,
-            },
-            WorkerSample {
-                worker: 1,
-                done: 8,
-                total: 8,
-                restarts: 0,
-                phase: WorkerPhase::Done,
-            },
-        ];
-        // Inside the interval: quiet no matter how often sampled.
-        assert!(fleet.sample(SEC, &workers).is_none());
-        assert!(fleet.sample(SEC + 1, &workers).is_none());
-        let line = fleet.sample(2 * SEC, &workers).expect("interval crossed");
-        assert!(line.contains("11/16 cells across 2 worker(s)"), "{line}");
-        assert!(line.contains("w0 3/8 running (1 restart(s))"), "{line}");
-        assert!(line.contains("w1 8/8 done"), "{line}");
-        // The limiter re-arms from the emission.
-        assert!(fleet.sample(3 * SEC, &workers).is_none());
-        assert!(fleet.sample(4 * SEC, &workers).is_some());
-
-        let failed = vec![WorkerSample {
-            worker: 0,
-            done: 2,
-            total: 4,
-            restarts: 3,
-            phase: WorkerPhase::Failed,
-        }];
-        assert!(FleetProgress::render(&failed).contains("FAILED"));
     }
 
     #[test]

@@ -65,20 +65,6 @@ impl CellKey {
     pub fn hex(&self) -> String {
         format!("{:016x}", self.0)
     }
-
-    /// Parses the [`Self::hex`] rendering back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when `s` is not a 16-digit hex string.
-    pub fn from_hex(s: &str) -> Result<CellKey, String> {
-        if s.len() != 16 {
-            return Err(format!("cell key must be 16 hex digits, got {s:?}"));
-        }
-        u64::from_str_radix(s, 16)
-            .map(CellKey)
-            .map_err(|_| format!("bad cell key {s:?}"))
-    }
 }
 
 /// One shard of an N-way campaign partition. `index` is **0-based**
@@ -377,21 +363,6 @@ fn partition_balanced(costs: &[u64], bins: u32) -> Vec<Vec<usize>> {
     assignment
 }
 
-/// Imbalance ratio of per-bin loads: max/mean. 1.0 is perfect balance;
-/// empty or all-zero loads also report 1.0 (nothing to balance).
-pub fn imbalance_ratio(loads: &[u64]) -> f64 {
-    if loads.is_empty() {
-        return 1.0;
-    }
-    let total: u128 = loads.iter().map(|&l| u128::from(l)).sum();
-    if total == 0 {
-        return 1.0;
-    }
-    let mean = total as f64 / loads.len() as f64;
-    let max = loads.iter().copied().max().unwrap_or(0) as f64;
-    max / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,6 +560,21 @@ mod tests {
         assert!((imbalance_ratio(&[30, 10]) - 1.5).abs() < 1e-12);
     }
 
+    /// Imbalance ratio of per-bin loads: max/mean. 1.0 is perfect balance;
+    /// empty or all-zero loads also report 1.0 (nothing to balance).
+    fn imbalance_ratio(loads: &[u64]) -> f64 {
+        if loads.is_empty() {
+            return 1.0;
+        }
+        let total: u128 = loads.iter().map(|&l| u128::from(l)).sum();
+        if total == 0 {
+            return 1.0;
+        }
+        let mean = total as f64 / loads.len() as f64;
+        let max = loads.iter().copied().max().unwrap_or(0) as f64;
+        max / mean
+    }
+
     /// Total cost landing in each bin of `assignment`.
     fn bin_loads(costs: &[u64], assignment: &[Vec<usize>]) -> Vec<u64> {
         assignment
@@ -713,8 +699,7 @@ mod tests {
     fn cell_key_hex_round_trips() {
         let cfg = SimConfig::quick_test();
         let key = TaskPlan::lower(&cfg, &grid(), false).cells[3].key;
-        assert_eq!(CellKey::from_hex(&key.hex()).unwrap(), key);
-        assert!(CellKey::from_hex("xyz").is_err());
-        assert!(CellKey::from_hex("123").is_err());
+        assert_eq!(key.hex().len(), 16);
+        assert_eq!(u64::from_str_radix(&key.hex(), 16).unwrap(), key.value());
     }
 }

@@ -11,15 +11,13 @@
 //! (timing stripped). That the timing is *present* in journals and
 //! results is pinned separately.
 
-use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use unison_repro::harness::fault::{FAULT_ENV, FAULT_ONCE_ENV};
 use unison_repro::harness::{
-    merge_shards, orchestrator, Campaign, CellKey, CellResult, OrchestratorConfig, ScenarioGrid,
-    ShardOutput, ShardSpec, TaskPlan, WorkerLaunch,
+    merge_shards, write_shard_output, Campaign, CellResult, ScenarioGrid, ShardOutput, ShardSpec,
+    TaskPlan,
 };
 use unison_repro::sim::{Design, Scenario, SimConfig, SystemSpec};
 use unison_repro::trace::workloads;
@@ -246,8 +244,8 @@ fn plans_are_deterministic_across_processes_in_spirit() {
     }
 }
 
-/// Re-entrant worker: the orchestrator tests spawn this test binary as
-/// their shard worker processes (`subprocess_worker_entry --exact`),
+/// Re-entrant worker: the SIGKILL test spawns this test binary as a
+/// journaled shard worker process (`subprocess_worker_entry --exact`),
 /// steered by env vars. Without `UNISON_TEST_WORKER` set it is a no-op,
 /// so a plain `cargo test` run skips straight past it.
 #[test]
@@ -259,282 +257,21 @@ fn subprocess_worker_entry() {
         .expect("valid shard spec");
     let journal = PathBuf::from(std::env::var("UNISON_TEST_JOURNAL").expect("journal env"));
     let out_path = PathBuf::from(std::env::var("UNISON_TEST_OUT").expect("out env"));
-    let mut campaign = Campaign::new(tiny())
+    // Like `sweep --shard I/N --journal J --resume`: the worker computes
+    // its shard from the plan alone and restores what J already holds.
+    let out = Campaign::new(tiny())
         .threads(2)
         .journal(&journal)
-        .resume(true);
-    if let Ok(skip) = std::env::var("UNISON_TEST_SKIP") {
-        let keys: Vec<CellKey> = skip
-            .split(',')
-            .filter(|k| !k.is_empty())
-            .map(|k| CellKey::from_hex(k).expect("valid skip key"))
-            .collect();
-        campaign = campaign.exclude(keys);
-    }
-    // Like `sweep --shard I/N`: the worker recomputes its shard from
-    // the plan alone. Had it diverged from the parent's, the
-    // orchestrator's coverage verification would reject the output.
-    let out = campaign.run_plan(&grid(), true, shard);
-    orchestrator::write_shard_output(&out_path, &out).expect("write shard output");
-    // Exit before libtest prints its summary: the orchestrator reads the
+        .resume(true)
+        .run_plan(&grid(), true, shard);
+    write_shard_output(&out_path, &out).expect("write shard output");
+    // Exit before libtest prints its summary: the parent test reads the
     // exit status and the output file, nothing else.
     std::process::exit(0);
 }
 
-/// The launch closure the orchestrator tests share: re-enter this test
-/// binary as the worker, layering per-worker fault env vars on top.
-fn test_launcher(
-    faults: HashMap<u32, Vec<(String, String)>>,
-) -> impl Fn(&WorkerLaunch<'_>) -> Command {
-    move |l| {
-        let mut cmd = Command::new(std::env::current_exe().expect("test binary path"));
-        cmd.args(["subprocess_worker_entry", "--exact", "--nocapture"]);
-        cmd.env("UNISON_TEST_WORKER", "1")
-            .env("UNISON_TEST_SHARD", l.shard.display())
-            .env("UNISON_TEST_JOURNAL", &l.paths.journal)
-            .env("UNISON_TEST_OUT", &l.paths.output)
-            .env("UNISON_TEST_SKIP", l.skip.join(","))
-            .env_remove(FAULT_ENV)
-            .env_remove(FAULT_ONCE_ENV);
-        for (k, v) in faults.get(&l.worker).into_iter().flatten() {
-            cmd.env(k, v);
-        }
-        cmd
-    }
-}
-
 fn canonical_json(cells: &[CellResult]) -> String {
     serde_json::to_string(cells).expect("cells serialize")
-}
-
-/// A fast supervision policy for tests: real restarts, token backoff.
-fn test_orchestrator_config(workers: u32, dir: PathBuf) -> OrchestratorConfig {
-    let mut cfg = OrchestratorConfig::new(workers, dir);
-    cfg.backoff_base_ms = 10;
-    cfg.backoff_cap_ms = 50;
-    cfg.quiet = true;
-    cfg
-}
-
-#[test]
-fn orchestrated_run_with_two_injected_crashes_is_bit_identical() {
-    let g = grid();
-    let uninterrupted = Campaign::new(tiny()).threads(4).run_speedups(&g);
-    let plan = TaskPlan::lower(&tiny(), &g, true);
-    // The workers run the plan's cost-balanced shards, which each worker
-    // recomputes on its own side; a divergence would fail coverage
-    // verification.
-    let n0 = plan.shard(ShardSpec::new(0, 2).unwrap()).len();
-    let n1 = plan.len() - n0;
-    assert!(
-        n0 >= 1 && n1 >= 2,
-        "grid reshuffle broke the fault preconditions: shard sizes {n0}/{n1}"
-    );
-
-    let dir = scratch("orchestrate-crashes");
-    let m0 = dir.join("marker-w0");
-    let m1 = dir.join("marker-w1");
-    // Worker 0 hard-aborts right after journaling its first cell; worker
-    // 1 dies mid-append, leaving a torn journal line. Each fault fires
-    // exactly once (marker files), so the restarted incarnations finish.
-    let faults = HashMap::from([
-        (
-            0u32,
-            vec![
-                (FAULT_ENV.to_string(), "crash-after-cells:1".to_string()),
-                (FAULT_ONCE_ENV.to_string(), m0.display().to_string()),
-            ],
-        ),
-        (
-            1u32,
-            vec![
-                (FAULT_ENV.to_string(), "torn-journal:2".to_string()),
-                (FAULT_ONCE_ENV.to_string(), m1.display().to_string()),
-            ],
-        ),
-    ]);
-    let cfg = test_orchestrator_config(2, dir.join("scratch"));
-    let outcome =
-        orchestrator::run(&plan, &cfg, &test_launcher(faults)).expect("orchestrator runs");
-
-    assert!(m0.exists(), "crash-after-cells fault must have fired");
-    assert!(m1.exists(), "torn-journal fault must have fired");
-    assert!(
-        outcome.is_complete(),
-        "both workers must recover: {:?}",
-        outcome.manifest
-    );
-    assert_eq!(
-        outcome.manifest.total_restarts, 2,
-        "each injected crash costs exactly one restart"
-    );
-    assert_eq!(
-        outcome.result.resumed_cells, 2,
-        "each restarted worker restores its one durable cell from its journal"
-    );
-    assert!(
-        outcome.manifest.imbalance_ratio >= 1.0,
-        "two busy workers must yield a measured imbalance ratio, got {}",
-        outcome.manifest.imbalance_ratio
-    );
-    assert_eq!(
-        canonical_json(&outcome.result.canonical_cells()),
-        canonical_json(&uninterrupted.canonical_cells()),
-        "orchestrated campaign with two injected crashes diverged from the \
-         uninterrupted single-process run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A restarted worker's busy time counts every cell it delivered: the
-/// cell its first incarnation simulated and journaled before crashing
-/// is restored, not re-run, by the second, and its journaled `wall_ns`
-/// still counts toward the worker's `busy_ns`.
-#[test]
-fn crashed_worker_busy_time_counts_its_restored_cell() {
-    let g = grid();
-    let plan = TaskPlan::lower(&tiny(), &g, true);
-    let dir = scratch("orchestrate-busy");
-    let marker = dir.join("marker-w0");
-    let faults = HashMap::from([(
-        0u32,
-        vec![
-            (FAULT_ENV.to_string(), "crash-after-cells:1".to_string()),
-            (FAULT_ONCE_ENV.to_string(), marker.display().to_string()),
-        ],
-    )]);
-    let cfg = test_orchestrator_config(2, dir.join("scratch"));
-    let outcome =
-        orchestrator::run(&plan, &cfg, &test_launcher(faults)).expect("orchestrator runs");
-    assert!(marker.exists(), "crash-after-cells fault must have fired");
-    assert!(outcome.is_complete(), "{:?}", outcome.manifest);
-    assert_eq!(outcome.result.resumed_cells, 1, "one cell restored");
-
-    // Every delivered cell carries its own simulation time, and each
-    // worker's busy time is the sum over the cells of its shard.
-    let cells = &outcome.result.cells;
-    assert!(cells.iter().all(|c| c.wall_ns > 0), "cells must be timed");
-    for report in &outcome.manifest.workers {
-        let shard = plan.shard(ShardSpec::new(report.worker, 2).unwrap());
-        let delivered: u64 = shard.iter().map(|&i| cells[i].wall_ns).sum();
-        assert_eq!(
-            report.busy_ns, delivered,
-            "worker {} (restarts {}): busy time must count every delivered cell",
-            report.worker, report.restarts
-        );
-    }
-    assert_eq!(outcome.manifest.workers[0].restarts, 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn worker_exceeding_restart_budget_yields_partial_manifest() {
-    let g = grid();
-    let full = Campaign::new(tiny()).threads(4).run_speedups(&g);
-    let plan = TaskPlan::lower(&tiny(), &g, true);
-
-    let dir = scratch("orchestrate-budget");
-    // No once-marker: the fault fires in EVERY incarnation, one new
-    // journaled cell each, so a budget of 1 restart dies after two.
-    let faults = HashMap::from([(
-        0u32,
-        vec![(FAULT_ENV.to_string(), "crash-after-cells:1".to_string())],
-    )]);
-    let mut cfg = test_orchestrator_config(1, dir.join("scratch"));
-    cfg.max_restarts = 1;
-    let outcome =
-        orchestrator::run(&plan, &cfg, &test_launcher(faults)).expect("degrades, not errors");
-
-    assert!(!outcome.is_complete(), "budget exhaustion must degrade");
-    let m = &outcome.manifest;
-    assert_eq!(m.total_restarts, 2, "initial launch + 1 restart, both die");
-    assert_eq!(
-        m.completed_cells, 2,
-        "each incarnation journaled exactly one cell before dying"
-    );
-    assert_eq!(
-        outcome.result.resumed_cells, 2,
-        "the dead worker's durable cells are salvaged from its journal"
-    );
-    assert_eq!(m.quarantined.len(), plan.len() - 2);
-    assert!(!m.workers[0].completed);
-    let err = m.quarantined[0]
-        .error
-        .as_deref()
-        .expect("quarantined cells carry the failure");
-    assert!(
-        err.contains("crash-after-cells") || err.contains("died"),
-        "error must name the failure: {err}"
-    );
-    // The manifest landed on disk as valid JSON.
-    let manifest_text = std::fs::read_to_string(&outcome.manifest_path).expect("manifest written");
-    assert!(manifest_text.contains("\"complete\": false"));
-
-    // What WAS salvaged is bit-identical to the same cells of a full run.
-    let missing: HashSet<usize> = m.quarantined.iter().map(|q| q.index).collect();
-    let full_cc = full.canonical_cells();
-    let expect: Vec<CellResult> = (0..plan.len())
-        .filter(|i| !missing.contains(i))
-        .map(|i| full_cc[i].clone())
-        .collect();
-    assert_eq!(
-        canonical_json(&outcome.result.canonical_cells()),
-        canonical_json(&expect),
-        "salvaged cells diverged from the uninterrupted run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn poison_cell_is_quarantined_and_the_rest_completes() {
-    let g = grid();
-    let full = Campaign::new(tiny()).threads(4).run_speedups(&g);
-    let plan = TaskPlan::lower(&tiny(), &g, true);
-    let poison = plan.cells[0].key.hex();
-
-    let dir = scratch("orchestrate-poison");
-    // No once-marker: the poison cell panics the worker in every
-    // incarnation that attempts it, so the second consecutive death on
-    // the same key triggers quarantine and the third incarnation
-    // (launched with --skip-cells semantics) completes the rest.
-    let faults = HashMap::from([(
-        0u32,
-        vec![(FAULT_ENV.to_string(), format!("panic-on-cell:{poison}"))],
-    )]);
-    let cfg = test_orchestrator_config(1, dir.join("scratch"));
-    let outcome =
-        orchestrator::run(&plan, &cfg, &test_launcher(faults)).expect("degrades, not errors");
-
-    assert!(!outcome.is_complete());
-    let m = &outcome.manifest;
-    assert_eq!(
-        m.quarantined.len(),
-        1,
-        "exactly the poison cell is lost: {:?}",
-        m.quarantined
-    );
-    assert_eq!(m.quarantined[0].key, poison);
-    assert_eq!(m.quarantined[0].index, 0);
-    let err = m.quarantined[0].error.as_deref().unwrap_or_default();
-    assert!(
-        err.contains("poison"),
-        "quarantine error must carry the panic diagnosis: {err}"
-    );
-    assert_eq!(
-        m.total_restarts, 2,
-        "two deaths on the same cell, then quarantine"
-    );
-    assert_eq!(outcome.result.cells.len(), plan.len() - 1);
-
-    // Everything else matches the uninterrupted run bit-for-bit.
-    let full_cc = full.canonical_cells();
-    let expect: Vec<CellResult> = (1..plan.len()).map(|i| full_cc[i].clone()).collect();
-    assert_eq!(
-        canonical_json(&outcome.result.canonical_cells()),
-        canonical_json(&expect),
-        "quarantine must not perturb the surviving cells"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -552,8 +289,6 @@ fn sigkill_mid_campaign_resumes_bit_identically() {
             .env("UNISON_TEST_SHARD", "1/1")
             .env("UNISON_TEST_JOURNAL", &journal)
             .env("UNISON_TEST_OUT", &out_path)
-            .env_remove(FAULT_ENV)
-            .env_remove(FAULT_ONCE_ENV)
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .stdin(Stdio::null());
@@ -561,7 +296,7 @@ fn sigkill_mid_campaign_resumes_bit_identically() {
     };
 
     // Run a real worker process and SIGKILL it once at least one cell is
-    // durable (no fault injection — the raw kill -9 path).
+    // durable: the raw kill -9 path.
     let mut child = spawn();
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
