@@ -599,14 +599,26 @@ fn bench_tracegen(c: &mut Criterion) {
             }
         });
     });
-    g.bench_function("artifact_freeze_100k", |b| {
-        let spec = workloads::tpch().scaled(8);
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            black_box(TraceArtifact::freeze(&spec, seed, 100_000))
+    // Freezing is generation plus packing. TPC-H's records come mostly
+    // from dense scans that run on across regions; Data Analytics'
+    // from single-region visits, so it pays each visit's setup (63
+    // noise draws, two Zipf samples) far more often per record.
+    for (name, spec) in [
+        ("artifact_freeze_100k", workloads::tpch()),
+        (
+            "artifact_freeze_100k_data_analytics",
+            workloads::data_analytics(),
+        ),
+    ] {
+        let spec = spec.scaled(8);
+        g.bench_function(name, |b| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed = seed.wrapping_add(1);
+                black_box(TraceArtifact::freeze(&spec, seed, 100_000))
+            });
         });
-    });
+    }
     g.finish();
 }
 

@@ -24,7 +24,7 @@ use crate::pool::{self, parallel_map};
 use crate::progress::{CounterSnapshot, ProgressConfig, ProgressReporter};
 use crate::scheduler::{BaselineTask, PlannedCell, ShardSpec, TaskPlan, TracePrefillTask};
 use crate::stats::geomean;
-use crate::telemetry::{CampaignTiming, Clock, MonotonicClock, Phase, Telemetry};
+use crate::telemetry::{fmt_ns, CampaignTiming, Clock, MonotonicClock, Phase, Telemetry};
 use crate::trace_store::TraceStore;
 
 /// One executed cell: the simulation outcome plus the scenario and seed
@@ -493,8 +493,10 @@ impl Campaign {
             if self.progress.banners() && !tasks.is_empty() {
                 let held = traces.held();
                 eprintln!(
-                    "[harness] froze {} trace artifact(s): {:.1} MiB, {:.2} B/record",
+                    "[harness] froze {} trace artifact(s) in {}: {} records, {:.1} MiB, {:.2} B/record",
                     held.artifacts,
+                    fmt_ns(telemetry.phase_ns(Phase::TracePrefill)),
+                    held.records,
                     held.bytes as f64 / (1u64 << 20) as f64,
                     held.bytes as f64 / held.records.max(1) as f64
                 );

@@ -125,7 +125,9 @@ impl TraceArtifact {
     /// Generates and freezes the first `len` records of
     /// `WorkloadGen::new(spec, seed)` in one streaming pass, packing each
     /// record straight into its core's column under the layout the
-    /// generator declares up front ([`WorkloadGen::layout`]).
+    /// generator declares up front ([`WorkloadGen::layout`]). The
+    /// generator hands each record over with its PC-table index, so
+    /// packing looks nothing up.
     ///
     /// # Panics
     ///
@@ -133,10 +135,11 @@ impl TraceArtifact {
     /// [`WorkloadGen::new`]).
     pub fn freeze(spec: &WorkloadSpec, seed: u64, len: u64) -> Self {
         let len = usize::try_from(len).expect("trace length fits in memory");
-        let gen = WorkloadGen::new(spec.clone(), seed);
+        let mut gen = WorkloadGen::new(spec.clone(), seed);
         let mut enc = codec::Encoder::with_capacity(gen.layout(), spec.cores as usize, len);
-        for r in gen.take(len) {
-            enc.push(&r);
+        for _ in 0..len {
+            let (r, index) = gen.next_indexed();
+            enc.push(&r, index);
         }
         TraceArtifact {
             key: artifact_key(spec, seed),
@@ -223,6 +226,26 @@ mod tests {
         let live: Vec<_> = WorkloadGen::new(spec, 42).take(5_000).collect();
         let replayed: Vec<_> = artifact.replay().collect();
         assert_eq!(replayed, live);
+    }
+
+    #[test]
+    fn freeze_equals_the_live_stream_packed_by_pc_lookup() {
+        for spec in workloads::all() {
+            let spec = spec.scaled(64);
+            let gen = WorkloadGen::new(spec.clone(), 5);
+            let mut enc = codec::Encoder::with_capacity(gen.layout(), 0, 0);
+            for r in gen.take(20_000) {
+                let index = enc.layout().index_of(r.pc);
+                enc.push(&r, index);
+            }
+            let frozen = TraceArtifact::freeze(&spec, 5, 20_000);
+            assert_eq!(
+                frozen.columns().to_vec(),
+                enc.finish().to_vec(),
+                "{}",
+                spec.name
+            );
+        }
     }
 
     #[test]

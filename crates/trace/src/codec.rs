@@ -171,6 +171,19 @@ impl Layout {
         &self.pcs
     }
 
+    /// The index of `pc` in the PC table, for packing a record that
+    /// arrives without one ([`Encoder::push`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is not in the table.
+    pub fn index_of(&self, pc: u64) -> u32 {
+        self.pcs
+            .binary_search(&pc)
+            .unwrap_or_else(|_| panic!("PC {pc:#x} is outside the layout's PC table"))
+            as u32
+    }
+
     /// Bytes per column entry, `W`.
     pub fn entry_bytes(&self) -> usize {
         Fields::of(self).width
@@ -287,7 +300,8 @@ impl Fields {
 pub fn encode(records: &[TraceRecord]) -> Bytes {
     let mut enc = Encoder::with_capacity(Layout::of(records), 0, records.len());
     for r in records {
-        enc.push(r);
+        let index = enc.layout().index_of(r.pc);
+        enc.push(r, index);
     }
     enc.finish().to_vec().into()
 }
@@ -315,9 +329,6 @@ pub struct Encoder {
     igap_reject: u64,
     order: Vec<u8>,
     columns: Vec<Vec<u8>>,
-    /// Each core's last PC and its table index: all records of one
-    /// visit share a PC, so this hits on most pushes.
-    last_pc: Vec<Option<(u64, u32)>>,
 }
 
 impl Encoder {
@@ -339,34 +350,35 @@ impl Encoder {
             columns: (0..cores)
                 .map(|_| Vec::with_capacity(per_core * fields.width))
                 .collect(),
-            last_pc: vec![None; cores],
         }
     }
 
-    /// Appends one record to its core's column.
+    /// The layout records are packed under.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// Appends one record to its core's column, storing `index` as its
+    /// PC: a generator that knows each record's PC-table index hands it
+    /// over with the record ([`crate::TraceArtifact::freeze`]), and
+    /// anyone else looks it up with [`Layout::index_of`].
     ///
     /// # Panics
     ///
-    /// Panics if the record does not fit the layout: its PC is not in
-    /// the table, its address has bits outside the address field, or its
-    /// gap is too wide. Nothing is ever truncated.
+    /// Panics if `index` does not name the record's PC in the table, or
+    /// the record does not fit the layout: its address has bits outside
+    /// the address field, or its gap is too wide. Nothing is ever
+    /// truncated.
     #[inline]
-    pub fn push(&mut self, r: &TraceRecord) {
+    pub fn push(&mut self, r: &TraceRecord, index: u32) {
         let core = usize::from(r.core);
         if core >= self.columns.len() {
             self.columns.resize_with(core + 1, Vec::new);
-            self.last_pc.resize(core + 1, None);
         }
-        let index = match self.last_pc[core] {
-            Some((pc, index)) if pc == r.pc => index,
-            _ => {
-                let index = self.layout.pcs.binary_search(&r.pc).unwrap_or_else(|_| {
-                    panic!("record {r:?} has a PC outside the layout's PC table")
-                }) as u32;
-                self.last_pc[core] = Some((r.pc, index));
-                index
-            }
-        };
+        assert!(
+            self.layout.pcs.get(index as usize) == Some(&r.pc),
+            "PC-table index {index} does not name the PC of record {r:?}"
+        );
         assert!(
             r.addr & self.addr_reject == 0 && u64::from(r.igap) & self.igap_reject == 0,
             "record {r:?} does not fit the layout (addr_shift {}, addr_bits {}, igap_bits {})",
@@ -809,16 +821,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "PC outside")]
-    fn push_rejects_an_unknown_pc() {
+    #[should_panic(expected = "PC 0x3 is outside")]
+    fn index_of_rejects_an_unknown_pc() {
+        let layout = Layout::new(vec![2, 1], 6, 4096, 10);
+        assert_eq!((layout.index_of(1), layout.index_of(2)), (0, 1));
+        layout.index_of(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 0 does not name the PC")]
+    fn push_rejects_an_index_that_names_another_pc() {
         let mut enc = Encoder::with_capacity(Layout::new(vec![1, 2], 6, 4096, 10), 1, 1);
-        enc.push(&TraceRecord {
+        let rec = TraceRecord {
             core: 0,
             kind: AccessKind::Read,
-            pc: 3,
+            pc: 2,
             addr: 64,
             igap: 1,
-        });
+        };
+        enc.push(&rec, 1);
+        enc.push(&rec, 0);
     }
 
     #[test]
@@ -831,16 +853,17 @@ mod tests {
             addr: 4096,
             igap: 15,
         };
-        for bad in [
-            TraceRecord { addr: 32, ..ok },   // below the shift
-            TraceRecord { addr: 8192, ..ok }, // past the address field
-            TraceRecord { igap: 16, ..ok },   // past the gap field
+        for (bad, index) in [
+            (TraceRecord { addr: 32, ..ok }, 0),   // below the shift
+            (TraceRecord { addr: 8192, ..ok }, 0), // past the address field
+            (TraceRecord { igap: 16, ..ok }, 0),   // past the gap field
+            (ok, 1),                               // past the PC table
         ] {
             let layout = layout.clone();
             let fits = std::panic::catch_unwind(move || {
                 let mut enc = Encoder::with_capacity(layout, 1, 1);
-                enc.push(&ok);
-                enc.push(&bad);
+                enc.push(&ok, 0);
+                enc.push(&bad, index);
             });
             assert!(fits.is_err(), "{bad:?} was accepted");
         }
@@ -952,7 +975,8 @@ mod tests {
         let mut enc = Encoder::with_capacity(Layout::of(&recs), 16, recs.len());
         assert!(enc.is_empty());
         for r in &recs {
-            enc.push(r);
+            let index = enc.layout().index_of(r.pc);
+            enc.push(r, index);
         }
         assert_eq!(enc.len(), recs.len());
         let cols = enc.finish();

@@ -50,6 +50,9 @@ struct CoreState {
 struct Visit {
     region: u64,
     pc: u64,
+    /// The accessor's index in the function library, which is also the
+    /// PC's index in [`WorkloadGen::layout`]'s PC table.
+    fn_idx: u32,
     /// Blocks still to touch (bit per region block).
     remaining: u64,
     /// The trigger block, emitted first.
@@ -109,6 +112,10 @@ impl WorkloadGen {
     /// addresses are block-aligned and below the footprint's last
     /// region, and a gap is at most what the smallest `1 - u` a uniform
     /// draw can take (2^-53) yields.
+    ///
+    /// Function `i`'s PC is `0x40_0000 + i * 0x40`, so the table's
+    /// ascending order is the library's order: a record's PC-table index
+    /// is its function's library index.
     pub fn layout(&self) -> Layout {
         Layout::new(
             self.functions.iter().map(|f| f.pc).collect(),
@@ -219,6 +226,7 @@ impl WorkloadGen {
         Visit {
             region,
             pc: f.pc,
+            fn_idx: fn_idx as u32,
             remaining: mask,
             trigger: offset,
             trigger_done: false,
@@ -226,7 +234,13 @@ impl WorkloadGen {
         }
     }
 
-    fn emit(&mut self, core: usize) -> TraceRecord {
+    /// Core `core`'s next record, with its PC-table index.
+    ///
+    /// Inlined into both callers: called out of line, it hands the
+    /// record back through memory, which costs the freeze loop about a
+    /// third of its time per record.
+    #[inline(always)]
+    fn emit(&mut self, core: usize) -> (TraceRecord, u32) {
         // Take (or refresh) the core's active visit.
         if self.cores[core].visit.is_none() {
             let v = self.start_visit();
@@ -260,6 +274,7 @@ impl WorkloadGen {
             addr,
             igap,
         };
+        let fn_idx = visit.fn_idx;
         if visit.remaining == 0 {
             if visit.scan_left > 0 {
                 // The scan rolls into the physically next region, covering
@@ -270,6 +285,7 @@ impl WorkloadGen {
                 self.cores[core].visit = Some(Visit {
                     region: next,
                     pc,
+                    fn_idx,
                     remaining: u64::MAX,
                     trigger: 0,
                     trigger_done: false,
@@ -279,7 +295,19 @@ impl WorkloadGen {
                 self.cores[core].visit = None;
             }
         }
-        rec
+        (rec, fn_idx)
+    }
+
+    /// The stream's next record with its index in [`Self::layout`]'s PC
+    /// table, so a packer needs no PC lookup.
+    #[inline]
+    pub(crate) fn next_indexed(&mut self) -> (TraceRecord, u32) {
+        // Rotate through cores with random skips so per-core streams stay
+        // ordered but globally interleave irregularly.
+        let n = self.cores.len();
+        let hop = self.rng.gen_range(1..=3usize);
+        self.rr_next = (self.rr_next + hop) % n;
+        self.emit(self.rr_next)
     }
 }
 
@@ -287,12 +315,7 @@ impl Iterator for WorkloadGen {
     type Item = TraceRecord;
 
     fn next(&mut self) -> Option<TraceRecord> {
-        // Rotate through cores with random skips so per-core streams stay
-        // ordered but globally interleave irregularly.
-        let n = self.cores.len();
-        let hop = self.rng.gen_range(1..=3usize);
-        self.rr_next = (self.rr_next + hop) % n;
-        Some(self.emit(self.rr_next))
+        Some(self.next_indexed().0)
     }
 }
 
@@ -354,7 +377,8 @@ mod tests {
             assert_eq!(layout.pcs().len(), spec.n_functions);
             let mut enc = crate::codec::Encoder::with_capacity(layout, 16, 20_000);
             for r in gen.take(20_000) {
-                enc.push(&r); // panics on a record that does not fit
+                let index = enc.layout().index_of(r.pc);
+                enc.push(&r, index); // panics on a record that does not fit
             }
         }
         // The widest gap comes from the smallest `1 - u` a draw yields.
@@ -362,6 +386,18 @@ mod tests {
         assert_eq!(1.0 - u_max, 0.5f64.powi(53));
         assert_eq!(igap_for(1.0 - u_max, 550.0), 20_206);
         assert_eq!(igap_for(1.0, 550.0), 1);
+    }
+
+    #[test]
+    fn pc_table_index_is_the_function_library_index() {
+        for spec in workloads::all() {
+            let gen = WorkloadGen::new(spec.scaled(64), 3);
+            let layout = gen.layout();
+            assert_eq!(layout.pcs().len(), gen.functions().len());
+            for (i, f) in gen.functions().iter().enumerate() {
+                assert_eq!(layout.pcs()[i], f.pc, "{}: function {i}", gen.spec().name);
+            }
+        }
     }
 
     #[test]

@@ -57,7 +57,8 @@ proptest! {
 
         let mut enc = Encoder::with_capacity(Layout::of(&records), 256, records.len());
         for r in &records {
-            enc.push(r);
+            let index = enc.layout().index_of(r.pc);
+            enc.push(r, index);
         }
         let streamed = enc.finish();
         prop_assert_eq!(streamed.iter().collect::<Vec<_>>(), records.clone());

@@ -10,7 +10,6 @@
 pub use unison_core as core;
 pub use unison_dram as dram;
 pub use unison_harness as harness;
-pub use unison_memhier as memhier;
 pub use unison_predictors as predictors;
 pub use unison_sim as sim;
 pub use unison_trace as trace;

@@ -4,8 +4,8 @@ use unison_repro::core::{
     AlloyCache, AlloyConfig, DramCacheModel, FootprintCache, FootprintConfig, IdealCache, MemPorts,
     NoCache, UnisonCache, UnisonConfig,
 };
-use unison_repro::sim::{run_experiment, run_speedup, CoreParams, Design, SimConfig, System};
-use unison_repro::trace::{workloads, WorkloadGen};
+use unison_repro::sim::{run_experiment, run_speedup, Design, SimConfig};
+use unison_repro::trace::workloads;
 
 fn quick() -> SimConfig {
     SimConfig::quick_test()
@@ -251,18 +251,4 @@ fn adversarial_zero_locality_trace_survives() {
         }
         assert_eq!(cache.stats().accesses, 1000);
     }
-}
-
-#[test]
-fn system_with_filtered_hierarchy_trace_works_end_to_end() {
-    // Raw trace -> L1/L2 filter -> Unison Cache: the full paper stack.
-    use unison_repro::memhier::HierarchyFilter;
-    let raw = WorkloadGen::new(workloads::web_serving().scaled(64), 3).take(100_000);
-    let mut filtered = HierarchyFilter::new(16, raw);
-    let cache = UnisonCache::new(UnisonConfig::new(32 << 20));
-    let mut sys = System::new(16, cache, MemPorts::paper_default(), CoreParams::default());
-    let n = sys.run(&mut filtered, u64::MAX);
-    assert!(n > 0, "some requests must survive the hierarchy");
-    assert!(n < 100_000, "the hierarchy must absorb something");
-    assert_eq!(sys.cache().stats().accesses, n);
 }
